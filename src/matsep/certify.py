@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .dual import jacobian_of
 from .errors import CertificationError, ChartSingularityError, PreconditionError
-from .matrix import RMatrix
+from .matrix import RMatrix, cofactor_det
 from .rational import rat
 from .sparsepoly import SparsePoly, poly_expand_det
 
@@ -139,9 +139,9 @@ def _sl_chart_g(l: int, params) -> list:
                 continue
             grid[r][c] = (1 if r == c else 0) + params[idx]
             idx += 1
-    minor = _gdet([row[:l - 1] for row in grid[:l - 1]])
+    minor = cofactor_det([row[:l - 1] for row in grid[:l - 1]])
     grid[l - 1][l - 1] = 0
-    rest = _gdet(grid)
+    rest = cofactor_det(grid)
     grid[l - 1][l - 1] = (1 - rest) / minor
     return grid
 
@@ -162,20 +162,6 @@ def _sl_chart_guard(l: int, offset: int) -> Callable[[Sequence], Fraction]:
 
 
 # -- generic small-matrix arithmetic (works on rationals and duals) ----------
-
-
-def _gdet(grid):
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    acc = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in grid[1:]]
-        term = grid[0][j] * _gdet(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def _gmul(A, B):

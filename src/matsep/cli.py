@@ -72,12 +72,19 @@ def _parse_left(data, l: int, n: int) -> LeftMatrix:
     return LeftMatrix(RMatrix.from_rows(rows))
 
 
+def _size(data: dict, key: str) -> int:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def load_document(path: str) -> dict:
     """Parse an input document into internal exact values."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
     try:
@@ -89,20 +96,20 @@ def load_document(path: str) -> dict:
     kind = data["kind"]
     try:
         if kind == "lr-tuple":
-            n = int(data["n"])
+            n = _size(data, "n")
             return {"kind": kind, "digest": digest,
                     "tuple": _parse_tuple(data["matrices"], n)}
         if kind == "lr-pair":
-            n = int(data["n"])
+            n = _size(data, "n")
             return {"kind": kind, "digest": digest,
                     "first": _parse_tuple(data["first"], n),
                     "second": _parse_tuple(data["second"], n)}
         if kind == "left-matrix":
-            l, n = int(data["l"]), int(data["n"])
+            l, n = _size(data, "l"), _size(data, "n")
             return {"kind": kind, "digest": digest,
                     "matrix": _parse_left(data["rows"], l, n)}
         if kind == "left-pair":
-            l, n = int(data["l"]), int(data["n"])
+            l, n = _size(data, "l"), _size(data, "n")
             return {"kind": kind, "digest": digest,
                     "first": _parse_left(data["first"], l, n),
                     "second": _parse_left(data["second"], l, n)}

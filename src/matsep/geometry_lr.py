@@ -123,18 +123,16 @@ def common_directions(A: MatrixTupleLR) -> Optional[List[ProjectivePoint]]:
     (either stable or only irrational common roots) or carry the rational
     common roots.
     """
-    gcd = _direction_gcd(A)
+    return _directions_of(_direction_gcd(A))
+
+
+def _directions_of(gcd: BinaryForm) -> Optional[List[ProjectivePoint]]:
+    """common_directions, read off an already computed direction gcd."""
     if gcd.is_zero:
         return None
     if gcd.degree == 0:
         return []
     return rational_projective_roots(gcd)
-
-
-def has_common_direction(A: MatrixTupleLR) -> bool:
-    """True iff some nonzero complex direction has all images on a line."""
-    gcd = _direction_gcd(A)
-    return gcd.is_zero or gcd.degree > 0
 
 
 def triangularizer_for_direction(A: MatrixTupleLR, v: ProjectivePoint) -> GroupElementLR:
@@ -242,18 +240,22 @@ def in_dc(B: MatrixTupleLR) -> bool:
     return _proportional_rows(left, right) and nullcone_member_lr(B)
 
 
+def _row_pattern(p: UpperPair) -> bool:
+    return _proportional_rows(p.d2_vec() + p.a_vec(), p.d_vec() + p.a2_vec())
+
+
+def _column_pattern(p: UpperPair) -> bool:
+    return _proportional_rows(p.a2_vec() + p.a_vec(), p.d_vec() + p.d2_vec())
+
+
 def in_cr(p: UpperPair) -> bool:
     """Row pattern: (d, a') proportional to (d', a), and non-separated."""
-    if separated_lr(p.first, p.second).separated:
-        return False
-    return _proportional_rows(p.d2_vec() + p.a_vec(), p.d_vec() + p.a2_vec())
+    return not separated_lr(p.first, p.second).separated and _row_pattern(p)
 
 
 def in_cc(p: UpperPair) -> bool:
     """Column pattern: (d, d') proportional to (a', a), and non-separated."""
-    if separated_lr(p.first, p.second).separated:
-        return False
-    return _proportional_rows(p.a2_vec() + p.a_vec(), p.d_vec() + p.d2_vec())
+    return not separated_lr(p.first, p.second).separated and _column_pattern(p)
 
 
 def m_matrix(p: UpperPair) -> RMatrix:
@@ -272,8 +274,8 @@ def m_c(p: UpperPair) -> RMatrix:
     return stack_rows([p.a_vec(), p.b_vec(), p.b2_vec(), p.a2_vec()])
 
 
-def _require_non_separated(p: UpperPair):
-    if separated_lr(p.first, p.second).separated:
+def _require_non_separated(A: MatrixTupleLR, A2: MatrixTupleLR):
+    if separated_lr(A, A2).separated:
         raise PreconditionError("not in separating variety: the pair is separated")
 
 
@@ -283,7 +285,7 @@ def graph_member_upper(p: UpperPair) -> bool:
     Holds exactly when the six stacked rows span at most three
     dimensions.
     """
-    _require_non_separated(p)
+    _require_non_separated(p.first, p.second)
     return m_matrix(p).rank() <= 3
 
 
@@ -300,13 +302,18 @@ def classify_pair(p: UpperPair) -> FrozenSet[str]:
     upper pair carries at least one flag, since the nullcone splits into
     its row- and column-proportional components.
     """
-    _require_non_separated(p)
+    _require_non_separated(p.first, p.second)
+    return _flags_of_non_separated(p)
+
+
+def _flags_of_non_separated(p: UpperPair) -> FrozenSet[str]:
+    """classify_pair for a pair already known to be non-separated."""
     flags = set()
     if m_matrix(p).rank() <= 3:
         flags.add(GAMMA)
-    if in_cr(p):
+    if _row_pattern(p):
         flags.add(CR)
-    if in_cc(p):
+    if _column_pattern(p):
         flags.add(CC)
     return frozenset(flags)
 
@@ -327,14 +334,13 @@ def classify_pair_any(A: MatrixTupleLR, A2: MatrixTupleLR) -> FrozenSet[str]:
     GAMMA is exact for any representative; when a side admits every
     direction, the enumeration falls back to three canonical directions
     and CR/CC are a sound but possibly incomplete under-approximation.
-    Sides with only irrational directions are rejected.
+    Sides with only irrational directions are rejected.  Separation is
+    checked once, for the input pair: the representatives are translates
+    of it, and the action preserves every invariant exactly.
     """
-    if separated_lr(A, A2).separated:
-        raise PreconditionError("not in separating variety: the pair is separated")
+    _require_non_separated(A, A2)
 
     gcd_a, gcd_b = _direction_gcd(A), _direction_gcd(A2)
-    dirs_a = common_directions(A)
-    dirs_b = common_directions(A2)
     stable_a = not gcd_a.is_zero and gcd_a.degree == 0
     stable_b = not gcd_b.is_zero and gcd_b.degree == 0
     if stable_a or stable_b:
@@ -342,6 +348,7 @@ def classify_pair_any(A: MatrixTupleLR, A2: MatrixTupleLR) -> FrozenSet[str]:
             raise PreconditionError("non-separated pair with mixed stability")
         return frozenset({GAMMA})
 
+    dirs_a, dirs_b = _directions_of(gcd_a), _directions_of(gcd_b)
     if dirs_a == []:
         raise PreconditionError("first tuple has no rational triangularizing direction")
     if dirs_b == []:
@@ -349,12 +356,7 @@ def classify_pair_any(A: MatrixTupleLR, A2: MatrixTupleLR) -> FrozenSet[str]:
     cand_a = _FALLBACK_DIRECTIONS if dirs_a is None else tuple(dirs_a)
     cand_b = _FALLBACK_DIRECTIONS if dirs_b is None else tuple(dirs_b)
 
-    flags = set()
-    for va in cand_a:
-        ga = triangularizer_for_direction(A, va)
-        ua = act_lr(ga, A)
-        for vb in cand_b:
-            gb = triangularizer_for_direction(A2, vb)
-            ub = act_lr(gb, A2)
-            flags |= classify_pair(UpperPair(ua, ub))
-    return frozenset(flags)
+    reps_a = [act_lr(triangularizer_for_direction(A, v), A) for v in cand_a]
+    reps_b = [act_lr(triangularizer_for_direction(A2, v), A2) for v in cand_b]
+    return frozenset().union(*(_flags_of_non_separated(UpperPair(ua, ub))
+                               for ua in reps_a for ub in reps_b))

@@ -8,12 +8,22 @@ invariants are the determinants det(A_i), the pairings
 
 and the quadrilinear invariants xi(A_i,A_j,A_k,A_l) defined as the
 coefficient of e_i e_j e_k e_l in the determinant of the doubled block
-matrix [[e_i A_i, e_j A_j], [e_k A_k, e_l A_l]].  For l x n matrices under
-left determinant-one multiplication the generators are the maximal minors.
+matrix [[e_i A_i, e_j A_j], [e_k A_k, e_l A_l]].  With A, B, C, D for
+A_i, A_j, A_k, A_l, X_r for row r of X and w(u, v) = u_0 v_1 - u_1 v_0,
+
+    xi = - w(A_0,C_0) w(B_1,D_1) + w(A_0,C_1) w(B_1,D_0)
+         + w(A_1,C_0) w(B_0,D_1) - w(A_1,C_1) w(B_0,D_0).
+
+The wedge block [w(A_r, C_s)] depends on the pair (i, k) only, so all xi
+are read off one table of C(n,2) integer wedge blocks.  For l x n
+matrices under left determinant-one multiplication the generators are
+the maximal minors.
 
 Generator vectors are reported in a frozen canonical order (determinants,
 then pairings in lexicographic index order, then quadrilinear terms in
-lexicographic order) so separation witnesses are reproducible.
+lexicographic order) so separation witnesses are reproducible.  Blocks
+are computed on demand, so a separation decision stops at the first
+block that differs.
 """
 
 from __future__ import annotations
@@ -21,12 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Sequence, Tuple
 
 from .errors import PreconditionError, ShapeError
 from .matrix import RMatrix
-from .rational import rat
 
 
 @dataclass(frozen=True)
@@ -109,9 +118,6 @@ class GeneratorVector:
         for idx, v in zip(combinations(range(1, self.n + 1), 4), self.xis):
             yield ("xi", idx), v
 
-    def values(self) -> Tuple[Fraction, ...]:
-        return self.dets + self.brackets + self.xis
-
 
 def det_inv(A: MatrixTupleLR, i: int) -> Fraction:
     """det(A_i), 1-based index."""
@@ -132,41 +138,52 @@ def bracket(A: MatrixTupleLR, i: int, j: int) -> Fraction:
     return tr_x * tr_y - tr_xy
 
 
-def _doubled_block(A: MatrixTupleLR, idx: Tuple[int, int, int, int],
-                   weights: Tuple[int, int, int, int]) -> RMatrix:
-    """4x4 matrix [[w0*A_i, w1*A_j], [w2*A_k, w3*A_l]] (0-based idx)."""
-    mats = [A.matrices[m].scale(w) for m, w in zip(idx, weights)]
-    top = mats[0].hstack(mats[1])
-    bottom = mats[2].hstack(mats[3])
-    return top.vstack(bottom)
+def _wedges(X: Sequence, Y: Sequence) -> Tuple:
+    """(w(X_0,Y_0), w(X_0,Y_1), w(X_1,Y_0), w(X_1,Y_1)), row-major X and Y."""
+    x0, x1, x2, x3 = X
+    y0, y1, y2, y3 = Y
+    return (x0 * y1 - x1 * y0, x0 * y3 - x1 * y2,
+            x2 * y1 - x3 * y0, x2 * y3 - x3 * y2)
+
+
+def _xi_from_wedges(ac: Tuple, bd: Tuple):
+    return -ac[0] * bd[3] + ac[1] * bd[2] + ac[2] * bd[1] - ac[3] * bd[0]
 
 
 def xi(A: MatrixTupleLR, i: int, j: int, k: int, l: int) -> Fraction:
-    """Multilinear coefficient of the doubled 2x2 block determinant.
-
-    Extracted by inclusion-exclusion over the sixteen 0/1 weightings of
-    the four blocks: sum over S of (-1)^(4-|S|) det(block matrix with
-    weight 1 on the blocks in S and 0 elsewhere).
-    """
+    """Multilinear coefficient of the doubled 2x2 block determinant."""
     if not (1 <= i < j < k < l <= A.n):
         raise PreconditionError("indices must satisfy 1 <= i < j < k < l <= n")
-    idx = (i - 1, j - 1, k - 1, l - 1)
-    total = Fraction(0)
-    for mask in range(16):
-        weights = tuple((mask >> b) & 1 for b in range(4))
-        size = sum(weights)
-        term = _doubled_block(A, idx, weights).det()
-        total += term if (4 - size) % 2 == 0 else -term
-    return total
+    m = A.matrices
+    return _xi_from_wedges(_wedges(m[i - 1].entries, m[k - 1].entries),
+                           _wedges(m[j - 1].entries, m[l - 1].entries))
+
+
+def _xi_block(A: MatrixTupleLR) -> Tuple[Fraction, ...]:
+    """All xi in canonical order: each matrix is scaled to integers by the
+    lcm q of its denominators, and each value is one Fraction over
+    q_i q_j q_k q_l."""
+    scale = [lcm(*(e.denominator for e in m.entries)) for m in A.matrices]
+    ints = [tuple(e.numerator * (q // e.denominator) for e in m.entries)
+            for m, q in zip(A.matrices, scale)]
+    table = {(a, c): _wedges(ints[a], ints[c]) for a, c in combinations(range(A.n), 2)}
+    return tuple(Fraction(_xi_from_wedges(table[a, c], table[b, d]),
+                          scale[a] * scale[b] * scale[c] * scale[d])
+                 for a, b, c, d in combinations(range(A.n), 4))
+
+
+def generator_blocks(A: MatrixTupleLR):
+    """Yield (kind, arity, values) for the det, pairing and xi blocks in
+    canonical order, each computed only when it is asked for."""
+    indices = range(1, A.n + 1)
+    yield "det", 1, tuple(det_inv(A, i) for i in indices)
+    yield "bracket", 2, tuple(bracket(A, i, j) for i, j in combinations(indices, 2))
+    yield "xi", 4, _xi_block(A)
 
 
 def generators_lr(A: MatrixTupleLR) -> GeneratorVector:
     """All generating invariants in the frozen canonical order."""
-    n = A.n
-    dets = tuple(det_inv(A, i) for i in range(1, n + 1))
-    brackets = tuple(bracket(A, i, j) for i, j in combinations(range(1, n + 1), 2))
-    xis = tuple(xi(A, *idx) for idx in combinations(range(1, n + 1), 4))
-    return GeneratorVector(n, dets, brackets, xis)
+    return GeneratorVector(A.n, *(values for _, _, values in generator_blocks(A)))
 
 
 def minors_left(A: LeftMatrix) -> Tuple[Fraction, ...]:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Sequence
 
 from .errors import PreconditionError, ShapeError
-from .matrix import RMatrix
+from .matrix import RMatrix, cofactor_det
 from .rational import rat
 
 
@@ -167,8 +167,8 @@ class LaurentMatrix:
     def det(self) -> LaurentPoly:
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
-        return _laurent_det([[self.at(r, c) for c in range(self.cols)]
-                             for r in range(self.rows)])
+        return cofactor_det([[self.at(r, c) for c in range(self.cols)]
+                            for r in range(self.rows)])
 
     def has_limit_at_zero(self) -> bool:
         return all(e.has_limit_at_zero() for e in self.entries)
@@ -192,15 +192,3 @@ class LaurentMatrix:
     def __repr__(self):
         rows = [[repr(self.at(r, c)) for c in range(self.cols)] for r in range(self.rows)]
         return f"LaurentMatrix({rows!r})"
-
-
-def _laurent_det(grid):
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    acc = LaurentPoly({})
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in grid[1:]]
-        term = grid[0][j] * _laurent_det(minor)
-        acc = acc + (-term if j % 2 else term)
-    return acc

@@ -264,3 +264,18 @@ class RMatrix:
 def stack_rows(vectors: Sequence[Sequence]) -> RMatrix:
     """Matrix whose rows are the given equal-length vectors."""
     return RMatrix.from_rows([list(v) for v in vectors])
+
+
+def cofactor_det(grid):
+    """Determinant of a square grid over any commutative ring, by cofactor
+    expansion along the first row (polynomials, Laurent and dual scalars)."""
+    n = len(grid)
+    if n == 1:
+        return grid[0][0]
+    acc = None
+    for j in range(n):
+        term = grid[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in grid[1:]])
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
 
 
 def rat(x) -> Fraction:
@@ -29,7 +29,7 @@ def rat(x) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p' or 'p/q'.  Decimal and float notation is rejected."""
+    """Parse 'p' or 'p/q', q nonzero; decimal and float notation is rejected."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not an exact rational literal: {text!r}")

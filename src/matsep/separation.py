@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Tuple
 
 from .errors import PreconditionError, ShapeError
-from .invariants import (GeneratorVector, LeftMatrix, MatrixTupleLR,
-                         generators_lr, minor_column_sets, minors_left)
+from .invariants import (LeftMatrix, MatrixTupleLR, generator_blocks,
+                         minor_column_sets, minors_left)
 from .matrix import RMatrix
 
 
@@ -97,14 +98,14 @@ def star(h: RMatrix, A: MatrixTupleLR) -> MatrixTupleLR:
 
 
 def separated_lr(A: MatrixTupleLR, A2: MatrixTupleLR) -> SeparationReport:
-    """Decide separation of two tuples by the generating invariants."""
+    """Decide separation by the generator blocks in canonical order: the
+    first block that differs decides, and later blocks are never computed."""
     if A.n != A2.n:
         raise ShapeError("tuples must have the same length")
-    va: GeneratorVector = generators_lr(A)
-    vb: GeneratorVector = generators_lr(A2)
-    for (label, x), (_, y) in zip(va.labeled(), vb.labeled()):
-        if x != y:
-            return SeparationReport(True, label, (x, y))
+    for (kind, arity, xs), (_, _, ys) in zip(generator_blocks(A), generator_blocks(A2)):
+        for label, x, y in zip(combinations(range(1, A.n + 1), arity), xs, ys):
+            if x != y:
+                return SeparationReport(True, (kind, label), (x, y))
     return SeparationReport(False)
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from .errors import ShapeError
+from .matrix import cofactor_det
 from .rational import rat
 
 Exponents = Tuple[int, ...]
@@ -115,9 +116,6 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def sorted_terms(self) -> list:
         """Terms in graded lexicographic order (the canonical ordering)."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
@@ -196,18 +194,4 @@ def poly_expand_det(grid: Sequence[Sequence[SparsePoly]]) -> SparsePoly:
         raise ShapeError("symbolic determinant limited to size six")
     if any(len(row) != n for row in grid):
         raise ShapeError("non-square grid")
-    return _cofactor_det([list(row) for row in grid])
-
-
-def _cofactor_det(grid):
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    acc = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in grid[1:]]
-        term = grid[0][j] * _cofactor_det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    return cofactor_det([list(row) for row in grid])

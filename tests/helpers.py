@@ -1,7 +1,8 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the production code paths: brackets
-and quadrilinear invariants are recomputed through symbolic expansion,
+and quadrilinear invariants are recomputed through symbolic expansion
+(and xi also through inclusion-exclusion over block determinants),
 common roots through resultants, and derivatives through symbolic
 differentiation, so agreement is evidence rather than tautology.
 """
@@ -148,6 +149,25 @@ def xi_oracle(A: MatrixTupleLR, i: int, j: int, k: int, l: int) -> Fraction:
     coeff = det.coefficient_of({"ei": 1, "ej": 1, "ek": 1, "el": 1})
     const = coeff.terms.get((0, 0, 0, 0), Fraction(0))
     return const
+
+
+def _doubled_block(A: MatrixTupleLR, idx, weights) -> RMatrix:
+    """4x4 matrix [[w0*A_i, w1*A_j], [w2*A_k, w3*A_l]] (0-based idx)."""
+    mats = [A.matrices[m].scale(w) for m, w in zip(idx, weights)]
+    return mats[0].hstack(mats[1]).vstack(mats[2].hstack(mats[3]))
+
+
+def xi_inclusion_exclusion(A: MatrixTupleLR, i: int, j: int, k: int, l: int) -> Fraction:
+    """Multilinear coefficient of the doubled block determinant, extracted
+    by inclusion-exclusion over the sixteen 0/1 weightings of the four
+    blocks: sum over S of (-1)^(4-|S|) det(weight 1 on S, 0 elsewhere)."""
+    idx = (i - 1, j - 1, k - 1, l - 1)
+    total = Fraction(0)
+    for mask in range(16):
+        weights = tuple((mask >> b) & 1 for b in range(4))
+        term = _doubled_block(A, idx, weights).det()
+        total += term if (4 - sum(weights)) % 2 == 0 else -term
+    return total
 
 
 def sylvester_resultant_quadratics(f, g) -> Fraction:

@@ -108,6 +108,35 @@ def test_exit_code_2_on_bad_input(tmp_path):
     assert code == 2
 
 
+def _assert_input_error(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", "x"), ("n", None), ("n", 1.5), ("n", True),
+    ("l", "x"), ("l", None), ("l", 2.5), ("l", True)])
+def test_exit_code_2_on_non_integer_size(tmp_path, key, value):
+    # truncating 1.5 or true to 1 (or 2.5 to 2) would fit the entries
+    if key == "n":
+        doc = {"kind": "lr-tuple", "n": value, "matrices": [[[1, 2], [3, 4]]]}
+    else:
+        doc = {"kind": "left-matrix", "l": value, "n": 1, "rows": [[1], [2]]}
+    _assert_input_error(["invariants", write(tmp_path, "size.json", doc)])
+
+
+def test_exit_code_2_on_zero_denominator(tmp_path):
+    doc = {"kind": "lr-tuple", "n": 1, "matrices": [[["1/0", 1], [0, 1]]]}
+    _assert_input_error(["invariants", write(tmp_path, "zero.json", doc)])
+
+
+def test_exit_code_2_on_non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"kind": "lr-tuple", "n": 1, "note": "\u00e9"}'.encode("latin-1"))
+    _assert_input_error(["invariants", str(path)])
+
+
 def test_exit_code_3_on_precondition(tmp_path):
     # separated pair is not in the separating variety: classify refuses
     path = write(tmp_path, "p.json", PAIR_DOC)

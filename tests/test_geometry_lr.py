@@ -5,10 +5,10 @@ import pytest
 
 from matsep import (MatrixTupleLR, PhiImage, PreconditionError, RMatrix,
                     UpperPair, act_lr, classify_pair, classify_pair_any,
-                    graph_member_upper, in_cc, in_cr, in_dc, in_dr,
-                    is_stable_lr, m_c, m_matrix, m_r, nullcone_member_lr, phi,
-                    phi_inverse, separated_lr, stack_rows)
-from matsep.geometry_lr import CC, CR, GAMMA
+                    common_directions, graph_member_upper, in_cc, in_cr, in_dc,
+                    in_dr, is_stable_lr, m_c, m_matrix, m_r, nullcone_member_lr,
+                    phi, phi_inverse, separated_lr, stack_rows)
+from matsep.geometry_lr import CC, CR, GAMMA, triangularizer_for_direction
 from helpers import (rand_fraction, rand_group_lr, rand_nullcone_col_pattern,
                      rand_nullcone_row_pattern, rand_nullcone_triangular,
                      rand_tuple, rand_upper_tuple)
@@ -407,3 +407,58 @@ def test_classify_pair_any_recovers_pattern_after_translation():
         flags = classify_pair_any(first, second)
         assert CR in flags
         assert (GAMMA in flags) == (GAMMA in base_flags)
+
+
+def _flags_one_by_one(p):
+    """Reference: each public predicate on its own, each checking separation."""
+    tests = ((GAMMA, graph_member_upper), (CR, in_cr), (CC, in_cc))
+    return frozenset(flag for flag, member in tests if member(p))
+
+
+def _flags_any_one_by_one(A, B):
+    """Reference for classify_pair_any: representatives per common direction,
+    each classified by the public predicates one by one."""
+    if is_stable_lr(A).stable:
+        return frozenset({GAMMA})
+    fallback = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
+                (Fraction(1), Fraction(1)))
+    reps = []
+    for X in (A, B):
+        dirs = common_directions(X)
+        reps.append([act_lr(triangularizer_for_direction(X, v), X)
+                     for v in (fallback if dirs is None else dirs)])
+    return frozenset().union(*(_flags_one_by_one(UpperPair(ua, ub))
+                               for ua in reps[0] for ub in reps[1]))
+
+
+def _random_non_separated_upper_pair(rng, trial):
+    n = rng.randint(1, 6)
+    pick = trial % 4
+    if pick == 3:
+        A = rand_upper_tuple(rng, n)
+        B = act_lr(rand_group_lr(rng), A)
+        return UpperPair(A, act_lr(is_stable_lr(B).triangularizer, B))
+    B = (rand_nullcone_row_pattern, rand_nullcone_col_pattern,
+         rand_nullcone_triangular)[pick](rng, n)
+    return phi_inverse(PhiImage(B, tuple(rand_fraction(rng) for _ in range(n)),
+                                tuple(rand_fraction(rng) for _ in range(n))))
+
+
+def test_classify_matches_predicates_one_by_one():
+    rng = Random(631)
+    for trial in range(120):
+        p = _random_non_separated_upper_pair(rng, trial)
+        assert classify_pair(p) == _flags_one_by_one(p)
+        if trial % 3 == 0:
+            A = act_lr(rand_group_lr(rng), p.first)
+            B = act_lr(rand_group_lr(rng), p.second)
+            assert classify_pair_any(A, B) == _flags_any_one_by_one(A, B)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        p = UpperPair(rand_upper_tuple(rng, n), rand_upper_tuple(rng, n))
+        if separated_lr(p.first, p.second).separated:
+            with pytest.raises(PreconditionError):
+                classify_pair(p)
+            assert not in_cr(p) and not in_cc(p)
+        else:
+            assert classify_pair(p) == _flags_one_by_one(p)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from random import Random
 
@@ -9,7 +10,7 @@ from matsep import (MatrixTupleLR, LeftMatrix, PreconditionError, RMatrix,
                     invariant_dim_left, invariant_dim_lr, lower_bound_left,
                     lower_bound_lr, minors_left, xi)
 from helpers import (bracket_oracle, rand_fraction, rand_tuple,
-                     rand_upper_tuple, xi_oracle)
+                     rand_upper_tuple, xi_inclusion_exclusion, xi_oracle)
 
 
 def test_det_inv_examples():
@@ -66,6 +67,24 @@ def test_xi_matches_oracle_random():
     for _ in range(60):
         A = rand_tuple(rng, 4, -4, 4)
         assert xi(A, 1, 2, 3, 4) == xi_oracle(A, 1, 2, 3, 4)
+
+
+def test_xi_and_xi_block_match_both_oracles():
+    # denominators 1, 2 and 3, so the integer scaling of xi_block is exercised
+    rng = Random(411)
+    for n in range(4, 8):
+        for _ in range(6):
+            A = MatrixTupleLR(tuple(
+                RMatrix(2, 2, [rand_fraction(rng, denominators=(1, 2, 3))
+                               for _ in range(4)]) for _ in range(n)))
+            block = generators_lr(A).xis
+            for idx, value in zip(combinations(range(1, n + 1), 4), block):
+                expected = xi_inclusion_exclusion(A, *idx)
+                assert xi(A, *idx) == expected
+                assert value == expected
+            quads = list(combinations(range(1, n + 1), 4))
+            for idx in rng.sample(quads, min(2, len(quads))):
+                assert xi(A, *idx) == xi_oracle(A, *idx)
 
 
 def test_xi_closed_form_on_upper_tuples():

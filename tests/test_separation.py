@@ -1,14 +1,15 @@
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from matsep import (GroupElementLR, LeftMatrix, MatrixTupleLR,
-                    PreconditionError, RMatrix, ShapeError, act_left, act_lr,
-                    generators_lr, minors_left, separated_left, separated_lr,
-                    star)
+                    PreconditionError, RMatrix, SeparationReport, ShapeError,
+                    act_left, act_lr, generators_lr, minors_left,
+                    separated_left, separated_lr, star)
 from helpers import (rand_group_left, rand_group_lr, rand_left, rand_matrix,
-                     rand_tuple)
+                     rand_sl2, rand_tuple)
 
 
 def test_act_identity_and_group_law():
@@ -134,3 +135,43 @@ def test_separated_left_rank_deficient_pairs():
     A = LeftMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
     B = LeftMatrix.from_rows([[0, 1, 5], [0, 2, 10]])
     assert not separated_left(A, B).separated
+
+
+def _separated_eager(A, B):
+    """Reference: compare the full generator vectors in canonical order."""
+    for (label, x), (_, y) in zip(generators_lr(A).labeled(), generators_lr(B).labeled()):
+        if x != y:
+            return SeparationReport(True, label, (x, y))
+    return SeparationReport(False)
+
+
+def _transpose(A):
+    return MatrixTupleLR(tuple(m.transpose() for m in A.matrices))
+
+
+def _componentwise_translate(rng, A):
+    """Each component moved by its own group element: dets are kept."""
+    return MatrixTupleLR(tuple(rand_sl2(rng) @ m @ rand_sl2(rng) for m in A.matrices))
+
+
+def test_lazy_separation_matches_eager_comparison():
+    rng = Random(515)
+    first_kinds = Counter()
+    for trial in range(160):
+        n = rng.randint(4, 6)
+        A = rand_tuple(rng, n)
+        pick = trial % 4
+        if pick == 0:
+            B = act_lr(rand_group_lr(rng), A)
+        elif pick == 1:
+            B = rand_tuple(rng, n)
+        elif pick == 2:
+            B = _componentwise_translate(rng, A)
+        else:
+            # transposition keeps every det and every pairing
+            B = act_lr(rand_group_lr(rng), _transpose(A))
+        rep = separated_lr(A, B)
+        assert rep == _separated_eager(A, B)
+        first_kinds[rep.witness[0] if rep.separated else None] += 1
+    assert first_kinds[None] == 40
+    assert min(first_kinds["det"], first_kinds["bracket"], first_kinds["xi"]) >= 30
