@@ -8,7 +8,7 @@ exact minor of the scaled matrix and entry growth stays polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
@@ -129,14 +129,12 @@ class RMatrix:
     def _integer_rows(self) -> tuple:
         """Scale each row to integers; returns (rows, product of scales)."""
         rows = []
-        scale = Fraction(1)
+        scale = 1
         for r in range(self.rows):
             row = self.row(r)
-            mult = 1
-            for e in row:
-                mult = mult * e.denominator // gcd(mult, e.denominator)
+            mult = lcm(*[e.denominator for e in row])
             scale *= mult
-            rows.append([int(e * mult) for e in row])
+            rows.append([e.numerator * (mult // e.denominator) for e in row])
         return rows, scale
 
     def rank(self) -> int:

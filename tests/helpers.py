@@ -3,14 +3,15 @@
 The oracles here deliberately avoid the production code paths: brackets
 and quadrilinear invariants are recomputed through symbolic expansion
 (and xi also through inclusion-exclusion over block determinants),
-common roots through resultants, and derivatives through symbolic
-differentiation, so agreement is evidence rather than tautology.
+common roots through resultants, derivatives through symbolic
+differentiation, and Jacobians through dense dual numbers, so agreement
+is evidence rather than tautology.
 """
 
 from fractions import Fraction
 from random import Random
 
-from matsep import (LeftMatrix, MatrixTupleLR, RMatrix, SparsePoly,
+from matsep import (LeftMatrix, MatrixTupleLR, RMatrix, ShapeError, SparsePoly,
                     GroupElementL, GroupElementLR, poly_expand_det)
 
 
@@ -184,3 +185,74 @@ def sylvester_resultant_quadratics(f, g) -> Fraction:
         [z, c2, c1, c0],
         [d2, d1, d0, z],
         [z, d2, d1, d0]]).det()
+
+
+# -- dense dual numbers --------------------------------------------------------
+
+
+class DenseDual:
+    """Forward-mode dual number with one stored partial per parameter,
+    zeros included: the plain product and quotient rules over Fractions,
+    with no sparsity, as an oracle for the sparse DualScalar."""
+
+    __slots__ = ("value", "partials")
+
+    def __init__(self, value, partials):
+        object.__setattr__(self, "value", Fraction(value))
+        object.__setattr__(self, "partials", tuple(Fraction(p) for p in partials))
+
+    def __setattr__(self, *_):
+        raise AttributeError("DenseDual is immutable")
+
+    def _coerce(self, other) -> "DenseDual":
+        if isinstance(other, DenseDual):
+            if len(other.partials) != len(self.partials):
+                raise ShapeError("dual numbers with different parameter counts")
+            return other
+        return DenseDual(other, (0,) * len(self.partials))
+
+    def __add__(self, other) -> "DenseDual":
+        o = self._coerce(other)
+        return DenseDual(self.value + o.value,
+                         tuple(a + b for a, b in zip(self.partials, o.partials)))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "DenseDual":
+        return DenseDual(-self.value, tuple(-p for p in self.partials))
+
+    def __sub__(self, other) -> "DenseDual":
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other) -> "DenseDual":
+        return self._coerce(other) - self
+
+    def __mul__(self, other) -> "DenseDual":
+        o = self._coerce(other)
+        return DenseDual(self.value * o.value,
+                         tuple(a * o.value + self.value * b
+                               for a, b in zip(self.partials, o.partials)))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "DenseDual":
+        o = self._coerce(other)
+        if o.value == 0:
+            raise ZeroDivisionError("dual division by a scalar with zero value")
+        inv = 1 / o.value
+        return DenseDual(self.value * inv,
+                         tuple((a * o.value - self.value * b) * inv * inv
+                               for a, b in zip(self.partials, o.partials)))
+
+    def __rtruediv__(self, other) -> "DenseDual":
+        return self._coerce(other) / self
+
+
+def dense_jacobian(evaluator, point) -> RMatrix:
+    """Jacobian of a rational map at a point, through dense duals."""
+    pt = [Fraction(x) for x in point]
+    k = len(pt)
+    seeds = [DenseDual(v, [int(i == j) for j in range(k)]) for i, v in enumerate(pt)]
+    rows = [list(out.partials) if isinstance(out, DenseDual) else [0] * k
+            for out in evaluator(seeds)]
+    return RMatrix(len(rows), k, [e for row in rows for e in row])

@@ -280,12 +280,19 @@ def test_curve_rank_violation_is_precondition_error(tmp_path):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
-    out1 = subprocess.run([sys.executable, "-m", "matsep", "counts", "--n", "4"],
-                          capture_output=True, text=True)
-    out2 = subprocess.run([sys.executable, "-m", "matsep", "counts", "--n", "4"],
-                          capture_output=True, text=True)
+    from pathlib import Path
+
+    import matsep
+    # The child process imports the same package as this one.
+    src = str(Path(matsep.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "matsep", "counts", "--n", "4"]
+    out1 = subprocess.run(argv, capture_output=True, text=True, env=env)
+    out2 = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert out1.returncode == 0
     assert out1.stdout == out2.stdout  # byte-identical across processes
     assert json.loads(out1.stdout)["result"]["lower_bound"] == 11

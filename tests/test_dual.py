@@ -3,9 +3,10 @@ from random import Random
 
 import pytest
 
-from matsep import (ChartSingularityError, DualScalar, RMatrix, SparsePoly,
-                    jacobian_of)
-from helpers import rand_fraction
+from matsep import (ChartSingularityError, DualScalar, RMatrix, ShapeError,
+                    SparsePoly, builtin_claims, builtin_parameterization,
+                    jacobian, jacobian_of)
+from helpers import DenseDual, dense_jacobian, rand_fraction
 
 
 def test_product_rule():
@@ -77,3 +78,118 @@ def test_dual_jacobian_matches_symbolic_derivative():
         for r, p in enumerate(polys):
             for c, v in enumerate(vs):
                 assert jac.at(r, c) == p.derivative(v).evaluate(env)
+
+
+def test_partials_are_dense_with_explicit_zeros():
+    x = DualScalar.variable(3, 1, 4)
+    assert x.partials == (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
+    assert DualScalar.constant(5, 3).partials == (Fraction(0),) * 3
+    built = DualScalar(2, (0, Fraction(1, 2), 0))
+    assert built.partials == (Fraction(0), Fraction(1, 2), Fraction(0))
+    assert all(type(p) is Fraction for p in (x * x).partials)
+
+
+def test_self_difference_is_zero():
+    rng = Random(205)
+    ps = [DualScalar.variable(rand_fraction(rng), i, 3) for i in range(3)]
+    x = ps[0] * ps[1] / (ps[2] + 100) - 7
+    diff = x - x
+    assert diff == 0
+    assert diff == DualScalar.constant(0, 3)
+    assert diff.partials == (Fraction(0),) * 3
+
+
+def test_equal_duals_built_differently_hash_equal():
+    s, t = DualScalar.variable(2, 0, 2), DualScalar.variable(3, 1, 2)
+    via_ops = (s + t) * (s - t) + t * t
+    direct = DualScalar(Fraction(4), (Fraction(4), Fraction(0)))
+    assert via_ops == s * s == direct
+    assert hash(via_ops) == hash(s * s) == hash(direct)
+    assert len({via_ops, s * s, direct}) == 1
+
+
+def test_dual_is_immutable():
+    x = DualScalar.variable(1, 0, 2)
+    for name in ("value", "partials", "nparams", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+
+
+def test_mixed_parameter_counts_raise():
+    x, y = DualScalar.variable(1, 0, 2), DualScalar.variable(1, 0, 3)
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y):
+        with pytest.raises(ShapeError):
+            op()
+
+
+def test_division_by_zero_value_raises():
+    x = DualScalar.variable(2, 0, 2)
+    zero = DualScalar.variable(0, 1, 2)
+    for op in (lambda: x / zero, lambda: 1 / zero, lambda: x / 0,
+               lambda: x / (x - 2)):
+        with pytest.raises(ZeroDivisionError):
+            op()
+
+
+def test_int_constants_keep_arithmetic_exact():
+    x = DualScalar.variable(1, 0, 2)
+    dx = DenseDual(1, [1, 0])
+    for op in (lambda a: a / 2, lambda a: 3 / a, lambda a: a * 2,
+               lambda a: a + 1, lambda a: 1 - a):
+        got, want = op(x), op(dx)
+        assert got.value == want.value and got.partials == want.partials
+        assert all(type(p) is Fraction for p in (got.value, *got.partials))
+    assert (x / 2).value == Fraction(1, 2)
+
+
+def test_random_expressions_match_dense_oracle():
+    """Every operator, with constants on either side, against dense duals."""
+    ops = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+           lambda a, b: a / b]
+    rng = Random(207)
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        point = [rand_fraction(rng, -5, 5) for _ in range(k)]
+        sparse = [DualScalar.variable(v, i, k) for i, v in enumerate(point)]
+        dense = [DenseDual(v, [int(i == j) for j in range(k)])
+                 for i, v in enumerate(point)]
+        for _ in range(8):
+            op = rng.choice(ops)
+            i, j = rng.randrange(len(sparse)), rng.randrange(len(sparse))
+            c = rng.choice([rand_fraction(rng, -3, 3), rng.randint(-3, 3)])
+            pairs = [(sparse[i], sparse[j], dense[i], dense[j]),
+                     (sparse[i], c, dense[i], c), (c, sparse[j], c, dense[j])]
+            s_left, s_right, d_left, d_right = rng.choice(pairs)
+            try:
+                want = op(d_left, d_right)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    op(s_left, s_right)
+                continue
+            got = op(s_left, s_right)
+            assert got.value == want.value and got.partials == want.partials
+            assert all(type(p) is Fraction for p in (got.value, *got.partials))
+            sparse.append(got)
+            dense.append(want)
+        neg = -sparse[-1]
+        assert neg.partials == tuple(-p for p in dense[-1].partials)
+
+
+def _oracle_points(param, rng, count=3):
+    """Seeded rational points off every chart singularity."""
+    points = []
+    while len(points) < count:
+        point = [rand_fraction(rng, -20, 20) for _ in range(param.param_count)]
+        if all(guard(point) != 0 for guard in param.chart_guards):
+            points.append(point)
+    return points
+
+
+@pytest.mark.parametrize("l,n", [(None, 4), (None, 5), (None, 6),
+                                 (2, 4), (3, 5), (4, 6)])
+def test_builtin_jacobians_match_dense_oracle(l, n):
+    rng = Random(206 + 10 * n + (l or 0))
+    for row in builtin_claims(n, l):
+        param = builtin_parameterization(row.name, n, l)
+        for point in _oracle_points(param, rng):
+            assert jacobian(param, point) == dense_jacobian(param.evaluator, point)

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
 
 from matsep import RMatrix, ShapeError, stack_rows
+from matsep.matrix import cofactor_det
 from helpers import rand_fraction, rand_matrix
 
 
@@ -104,3 +106,59 @@ def test_stack_rows():
     m = stack_rows([(1, 2, 3), (4, 5, 6)])
     assert m.shape() == (2, 3)
     assert m.at(1, 2) == 6
+
+
+def _wide_fraction_matrix(rng: Random, rows: int, cols: int, special=0.15) -> RMatrix:
+    """Entries with denominators up to 10**6; each row is zero, or a rational
+    combination of earlier rows, with probability `special` each."""
+    out = []
+    for r in range(rows):
+        roll = rng.random()
+        if roll < special:
+            out.append([Fraction(0)] * cols)
+        elif roll < 2 * special and out:
+            a, b = rng.choice(out), rng.choice(out)
+            s, t = (Fraction(rng.randint(-9, 9), rng.randint(1, 10 ** 6)) for _ in "st")
+            out.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            out.append([Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                 rng.choice((1, rng.randint(1, 10 ** 6))))
+                        for _ in range(cols)])
+    return RMatrix.from_rows(out)
+
+
+def _integer_rows_by_fraction_products(m: RMatrix) -> tuple:
+    """Reference row scaling: lcm of the row's denominators, then one
+    Fraction product per entry."""
+    rows, scale = [], Fraction(1)
+    for r in range(m.rows):
+        row = m.row(r)
+        mult = 1
+        for e in row:
+            mult = mult * e.denominator // gcd(mult, e.denominator)
+        scale *= mult
+        rows.append([int(e * mult) for e in row])
+    return rows, scale
+
+
+def test_integer_rows_match_fraction_products():
+    rng = Random(107)
+    shapes = [(1, k) for k in range(1, 7)] + [(k, 1) for k in range(1, 7)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(200)]
+    for r, c in shapes:
+        m = _wide_fraction_matrix(rng, r, c)
+        rows, scale = m._integer_rows()
+        ref_rows, ref_scale = _integer_rows_by_fraction_products(m)
+        assert rows == ref_rows
+        assert scale == ref_scale
+        assert all(type(e) is int for row in rows for e in row)
+        assert m.rank() == len(m.rref()[1])
+    assert RMatrix.zeros(3, 2)._integer_rows() == ([[0, 0]] * 3, 1)
+
+
+def test_det_of_wide_fractions_matches_cofactor_det():
+    rng = Random(108)
+    for n in (4, 5):
+        for _ in range(30):
+            m = _wide_fraction_matrix(rng, n, n, special=0.03)
+            assert m.det() == cofactor_det(m.to_rows())
