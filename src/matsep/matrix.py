@@ -1,8 +1,13 @@
 """Exact rational matrices with fraction-free elimination.
 
-Rank and determinant clear denominators row by row and then run
+Rank and determinant clear denominators row by row and then run one
 Bareiss-style integer elimination, so every intermediate value is an
 exact minor of the scaled matrix and entry growth stays polynomial.
+A row whose entry in the pivot column is zero is skipped, not rewritten:
+with p_j the pivot of step j and p_{-1} = 1, a row last brought to step
+k equals its step-s Bareiss row times p_{k-1} / p_{s-1}, so the one
+exact factor p_{s-1} / p_{k-1} catches it up when a later pivot column
+needs it.  Pivots, row swaps and signs are those of eager Bareiss.
 """
 
 from __future__ import annotations
@@ -137,29 +142,51 @@ class RMatrix:
             rows.append([e.numerator * (mult // e.denominator) for e in row])
         return rows, scale
 
-    def rank(self) -> int:
-        """Exact rank via fraction-free (Bareiss) elimination."""
-        m, _ = self._integer_rows()
+    def _eliminate(self) -> tuple:
+        """Bareiss elimination of the integer-scaled rows that skips every
+        row with a zero in the pivot column; returns (rank, sign of the row
+        swaps, last pivot, row scale).
+
+        `div[r]` is p_{k-1}, where k is the step row r was last brought to.
+        A pivot row is caught up to the current step by `* prev // div[r]`;
+        any other row takes its next step straight from step k, which
+        divides by its own `div[r]` where eager Bareiss divides by `prev`.
+        """
+        m, scale = self._integer_rows()
         nr, nc = self.rows, self.cols
-        prev = 1
+        div = [1] * nr
+        sign = prev = 1
         piv_r = 0
         for piv_c in range(nc):
             if piv_r == nr:
                 break
-            pr = next((r for r in range(piv_r, nr) if m[r][piv_c] != 0), None)
+            pr = next((r for r in range(piv_r, nr) if m[r][piv_c]), None)
             if pr is None:
                 continue
             if pr != piv_r:
                 m[pr], m[piv_r] = m[piv_r], m[pr]
-            p = m[piv_r][piv_c]
+                div[pr], div[piv_r] = div[piv_r], div[pr]
+                sign = -sign
+            top = m[piv_r]
+            if div[piv_r] != prev:
+                top = [e * prev // div[piv_r] for e in top]
+            p = top[piv_c]
             for r in range(piv_r + 1, nr):
-                factor = m[r][piv_c]
-                for c in range(piv_c + 1, nc):
-                    m[r][c] = (p * m[r][c] - factor * m[piv_r][c]) // prev
-                m[r][piv_c] = 0
+                row = m[r]
+                f = row[piv_c]
+                if f:
+                    d = div[r]
+                    for c in range(piv_c + 1, nc):
+                        row[c] = (p * row[c] - f * top[c]) // d
+                    row[piv_c] = 0
+                    div[r] = p
             prev = p
             piv_r += 1
-        return piv_r
+        return piv_r, sign, prev, scale
+
+    def rank(self) -> int:
+        """Exact rank via fraction-free (Bareiss) elimination."""
+        return self._eliminate()[0]
 
     def det(self) -> Fraction:
         """Exact determinant (Bareiss for sizes above three)."""
@@ -176,24 +203,10 @@ class RMatrix:
         if n == 3:
             a, b, c, d, e, f, g, h, i = self.entries
             return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        m, scale = self._integer_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            pr = next((r for r in range(k, n) if m[r][k] != 0), None)
-            if pr is None:
-                return Fraction(0)
-            if pr != k:
-                m[pr], m[k] = m[k], m[pr]
-                sign = -sign
-            p = m[k][k]
-            for r in range(k + 1, n):
-                factor = m[r][k]
-                for c in range(k + 1, n):
-                    m[r][c] = (p * m[r][c] - factor * m[k][c]) // prev
-                m[r][k] = 0
-            prev = p
-        return Fraction(sign * m[n - 1][n - 1]) / scale
+        rank, sign, last, scale = self._eliminate()
+        if rank < n:
+            return Fraction(0)
+        return Fraction(sign * last) / scale
 
     def rref(self) -> tuple:
         """Reduced row echelon form; returns (rows, pivot column list)."""

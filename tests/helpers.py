@@ -4,11 +4,13 @@ The oracles here deliberately avoid the production code paths: brackets
 and quadrilinear invariants are recomputed through symbolic expansion
 (and xi also through inclusion-exclusion over block determinants),
 common roots through resultants, derivatives through symbolic
-differentiation, and Jacobians through dense dual numbers, so agreement
-is evidence rather than tautology.
+differentiation, Jacobians through dense dual numbers, and ranks and
+determinants through eager Bareiss elimination, so agreement is evidence
+rather than tautology.
 """
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 from matsep import (LeftMatrix, MatrixTupleLR, RMatrix, ShapeError, SparsePoly,
@@ -256,3 +258,73 @@ def dense_jacobian(evaluator, point) -> RMatrix:
     rows = [list(out.partials) if isinstance(out, DenseDual) else [0] * k
             for out in evaluator(seeds)]
     return RMatrix(len(rows), k, [e for row in rows for e in row])
+
+
+# -- eager Bareiss elimination -------------------------------------------------
+
+
+def integer_rows_by_fraction_products(m: RMatrix) -> tuple:
+    """Reference row scaling: lcm of the row's denominators, then one
+    Fraction product per entry; returns (rows, product of the scales)."""
+    rows, scale = [], Fraction(1)
+    for r in range(m.rows):
+        row = m.row(r)
+        mult = 1
+        for e in row:
+            mult = mult * e.denominator // gcd(mult, e.denominator)
+        scale *= mult
+        rows.append([int(e * mult) for e in row])
+    return rows, scale
+
+
+def bareiss_rank(matrix: RMatrix) -> int:
+    """Exact rank by eager Bareiss elimination: every step rewrites every
+    remaining row, whether or not it has a zero in the pivot column."""
+    m, _ = integer_rows_by_fraction_products(matrix)
+    nr, nc = matrix.rows, matrix.cols
+    prev = 1
+    piv_r = 0
+    for piv_c in range(nc):
+        if piv_r == nr:
+            break
+        pr = next((r for r in range(piv_r, nr) if m[r][piv_c] != 0), None)
+        if pr is None:
+            continue
+        if pr != piv_r:
+            m[pr], m[piv_r] = m[piv_r], m[pr]
+        p = m[piv_r][piv_c]
+        for r in range(piv_r + 1, nr):
+            factor = m[r][piv_c]
+            for c in range(piv_c + 1, nc):
+                m[r][c] = (p * m[r][c] - factor * m[piv_r][c]) // prev
+            m[r][piv_c] = 0
+        prev = p
+        piv_r += 1
+    return piv_r
+
+
+def bareiss_det(matrix: RMatrix) -> Fraction:
+    """Exact determinant by eager Bareiss elimination, at every size."""
+    if matrix.rows != matrix.cols:
+        raise ShapeError("determinant of a non-square matrix")
+    n = matrix.rows
+    if n == 0:
+        return Fraction(1)
+    m, scale = integer_rows_by_fraction_products(matrix)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        pr = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != k:
+            m[pr], m[k] = m[k], m[pr]
+            sign = -sign
+        p = m[k][k]
+        for r in range(k + 1, n):
+            factor = m[r][k]
+            for c in range(k + 1, n):
+                m[r][c] = (p * m[r][c] - factor * m[k][c]) // prev
+            m[r][k] = 0
+        prev = p
+    return sign * m[n - 1][n - 1] / scale

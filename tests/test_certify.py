@@ -10,7 +10,7 @@ from matsep import (CertificationError, ChartSingularityError, LeftMatrix,
                     is_stable_lr, jacobian, m_matrix, act_lr, separated_lr,
                     sl2_chart, verify_bracket_identity, verify_xi_identity)
 from matsep.certify import CERTIFIED, FAILED
-from helpers import rand_fraction
+from helpers import bareiss_rank, rand_fraction
 
 
 def test_sl2_chart_examples():
@@ -184,3 +184,21 @@ def test_nullcone_left_images_are_nullcone():
 def test_identities():
     assert verify_xi_identity()
     assert verify_bracket_identity()
+
+
+@pytest.mark.parametrize("l,n", [(None, 4), (None, 5), (None, 6),
+                                 (3, 5), (4, 6), (4, 8)])
+def test_builtin_jacobian_ranks_match_eager_bareiss(l, n):
+    """Three seeded integer sample points per builtin claim, drawn as
+    certify draws them."""
+    rng = Random(816 + 10 * n + (l or 0))
+    for row in builtin_claims(n, l):
+        param = builtin_parameterization(row.name, n, l)
+        points = 0
+        while points < 3:
+            point = [Fraction(rng.randint(-20, 20)) for _ in range(param.param_count)]
+            if any(guard(point) == 0 for guard in param.chart_guards):
+                continue
+            points += 1
+            jac = jacobian(param, point)
+            assert jac.rank() == bareiss_rank(jac)

@@ -1,8 +1,12 @@
-"""Byte-for-byte golden reports of `matsep certify`.
+"""Byte-for-byte golden reports of the CLI.
 
 The files under tests/golden/ are the exact stdout of each command, as
-recorded before the sparse dual numbers and integer row scaling landed,
-so ranks, witness points and verdicts are pinned, not re-derived.
+recorded before the sparse dual numbers and integer row scaling landed
+(`certify`) and before rank and determinant shared one skipping Bareiss
+kernel (`graph`, `stability`, `nullcone`, `invariants` on the fixture
+documents next to them), so ranks, minors, witness points and verdicts
+are pinned, not re-derived.  Document commands run from tests/golden/,
+so the report echoes each document's bare file name.
 """
 
 import io
@@ -26,11 +30,35 @@ CASES = [
      ["certify", "--l", "4", "--n", "8", "--claims", "z-left", "--seed", "0"]),
 ]
 
+DOCUMENT_CASES = [
+    ("graph_upper_n5.txt", ["graph", "graph_upper_n5.json"]),
+    ("graph_left_l3_n6.txt", ["graph", "graph_left_l3_n6.json"]),
+    ("graph_left_l4_n7.txt", ["graph", "graph_left_l4_n7.json"]),
+    ("stability_left_full_l4_n6.txt", ["stability", "left_full_l4_n6.json"]),
+    ("stability_left_deficient_l4_n7.txt",
+     ["stability", "left_deficient_l4_n7.json"]),
+    ("nullcone_left_full_l4_n6.txt", ["nullcone", "left_full_l4_n6.json"]),
+    ("nullcone_left_deficient_l4_n7.txt",
+     ["nullcone", "left_deficient_l4_n7.json"]),
+    ("invariants_left_full_l4_n6.txt", ["invariants", "left_full_l4_n6.json"]),
+    ("invariants_left_l5_n7.txt", ["invariants", "left_l5_n7.json"]),
+]
 
-@pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
-def test_certify_report_matches_golden(name, argv):
+
+def _assert_matches_golden(name, argv):
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(argv)
     assert code == 0
     assert out.getvalue().encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+def test_certify_report_matches_golden(name, argv):
+    _assert_matches_golden(name, argv)
+
+
+@pytest.mark.parametrize("name,argv", DOCUMENT_CASES, ids=[c[0] for c in DOCUMENT_CASES])
+def test_document_report_matches_golden(name, argv, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    _assert_matches_golden(name, argv)

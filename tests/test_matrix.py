@@ -1,12 +1,13 @@
 from fractions import Fraction
-from math import gcd
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matsep import RMatrix, ShapeError, stack_rows
 from matsep.matrix import cofactor_det
-from helpers import rand_fraction, rand_matrix
+from helpers import (bareiss_det, bareiss_rank, integer_rows_by_fraction_products,
+                     rand_fraction, rand_matrix)
 
 
 def test_rank_examples():
@@ -127,20 +128,6 @@ def _wide_fraction_matrix(rng: Random, rows: int, cols: int, special=0.15) -> RM
     return RMatrix.from_rows(out)
 
 
-def _integer_rows_by_fraction_products(m: RMatrix) -> tuple:
-    """Reference row scaling: lcm of the row's denominators, then one
-    Fraction product per entry."""
-    rows, scale = [], Fraction(1)
-    for r in range(m.rows):
-        row = m.row(r)
-        mult = 1
-        for e in row:
-            mult = mult * e.denominator // gcd(mult, e.denominator)
-        scale *= mult
-        rows.append([int(e * mult) for e in row])
-    return rows, scale
-
-
 def test_integer_rows_match_fraction_products():
     rng = Random(107)
     shapes = [(1, k) for k in range(1, 7)] + [(k, 1) for k in range(1, 7)]
@@ -148,7 +135,7 @@ def test_integer_rows_match_fraction_products():
     for r, c in shapes:
         m = _wide_fraction_matrix(rng, r, c)
         rows, scale = m._integer_rows()
-        ref_rows, ref_scale = _integer_rows_by_fraction_products(m)
+        ref_rows, ref_scale = integer_rows_by_fraction_products(m)
         assert rows == ref_rows
         assert scale == ref_scale
         assert all(type(e) is int for row in rows for e in row)
@@ -162,3 +149,165 @@ def test_det_of_wide_fractions_matches_cofactor_det():
         for _ in range(30):
             m = _wide_fraction_matrix(rng, n, n, special=0.03)
             assert m.det() == cofactor_det(m.to_rows())
+
+
+# -- the skipping elimination kernel against eager Bareiss ----------------------
+
+
+def _assert_kernel_matches_oracles(m: RMatrix, cofactor_up_to=6):
+    rank = m.rank()
+    assert rank == bareiss_rank(m)
+    assert rank == len(m.rref()[1])
+    if m.rows == m.cols:
+        det = m.det()
+        assert det == bareiss_det(m)
+        assert (det != 0) == (rank == m.rows)
+        if 0 < m.rows <= cofactor_up_to:
+            assert det == cofactor_det(m.to_rows())
+
+
+def _sparse_entry(rng: Random, density: float, big=False) -> Fraction:
+    """Zero with probability 1 - density; `big` draws 40-digit numerators
+    over denominators up to 10**6."""
+    if rng.random() >= density:
+        return Fraction(0)
+    if big:
+        return Fraction(rng.choice((-1, 1)) * rng.randint(10 ** 39, 10 ** 40),
+                        rng.randint(1, 10 ** 6))
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 1, 2, 3, 7)))
+
+
+def _sparse_matrix(rng: Random, rows: int, cols: int, density: float, big=False) -> RMatrix:
+    """Sparse matrix; a row and a column are zeroed a quarter of the time each."""
+    grid = [[_sparse_entry(rng, density, big) for _ in range(cols)] for _ in range(rows)]
+    if rows and rng.random() < 0.25:
+        grid[rng.randrange(rows)] = [Fraction(0)] * cols
+    if cols and rng.random() < 0.25:
+        c = rng.randrange(cols)
+        for row in grid:
+            row[c] = Fraction(0)
+    return RMatrix(rows, cols, [e for row in grid for e in row])
+
+
+def _staircase_rows(rng: Random, leads, cols: int, density=0.6, big=False) -> list:
+    """Row i is zero before column leads[i], nonzero there, sparse after."""
+    return [[Fraction(0)] * lead + [_sparse_entry(rng, 1.0, big)]
+            + [_sparse_entry(rng, density, big) for _ in range(cols - lead - 1)]
+            for lead in leads]
+
+
+def test_kernel_matches_oracles_on_sparse_matrices():
+    rng = Random(109)
+    for density in (0.05, 0.1, 0.2, 0.4, 0.6):
+        for _ in range(40):
+            r, c = rng.randint(1, 9), rng.randint(1, 9)
+            _assert_kernel_matches_oracles(_sparse_matrix(rng, r, c, density))
+        for n in range(4, 8):
+            _assert_kernel_matches_oracles(_sparse_matrix(rng, n, n, density))
+
+
+def test_kernel_on_empty_and_thin_shapes():
+    rng = Random(110)
+    for k in range(5):
+        assert RMatrix(0, k, []).rank() == 0
+        assert RMatrix(k, 0, []).rank() == 0
+    assert RMatrix(0, 0, []).det() == 1
+    for k in range(1, 8):
+        for density in (0.0, 0.3, 1.0):
+            _assert_kernel_matches_oracles(_sparse_matrix(rng, 1, k, density))
+            _assert_kernel_matches_oracles(_sparse_matrix(rng, k, 1, density))
+
+
+def test_kernel_on_matrices_built_rank_deficient():
+    rng = Random(111)
+    for _ in range(60):
+        cols = rng.randint(3, 10)
+        target = rng.randint(0, min(4, cols))
+        leads = sorted(rng.sample(range(cols), target))
+        basis = _staircase_rows(rng, leads, cols, density=rng.choice((0.1, 0.3, 0.6)))
+        rows = list(basis)
+        for _ in range(rng.randint(0, 5)):
+            coeffs = [_sparse_entry(rng, 0.5) for _ in basis]
+            rows.append([sum((a * row[j] for a, row in zip(coeffs, basis)), Fraction(0))
+                         for j in range(cols)])
+        rng.shuffle(rows)
+        m = RMatrix(len(rows), cols, [e for row in rows for e in row])
+        assert m.rank() == target
+        _assert_kernel_matches_oracles(m)
+
+
+def test_kernel_catches_up_rows_skipped_on_a_staircase():
+    """Rows whose first nonzero sits several pivot columns to the right are
+    skipped for several steps, then caught up as a pivot or as an updated
+    row; 40-digit numerators make a wrong catch-up factor visible."""
+    rng = Random(112)
+    for big in (False, True):
+        for _ in range(25):
+            cols = rng.randint(5, 10)
+            leads = sorted(rng.choice((0, 0, 0, 1, 3, 4, 6)) % cols
+                           for _ in range(rng.randint(4, 9)))
+            rows = _staircase_rows(rng, leads, cols, big=big)
+            rng.shuffle(rows)
+            m = RMatrix(len(rows), cols, [e for row in rows for e in row])
+            _assert_kernel_matches_oracles(m, cofactor_up_to=7)
+            _assert_kernel_matches_oracles(m.transpose(), cofactor_up_to=7)
+
+
+def test_kernel_with_40_digit_numerators():
+    rng = Random(113)
+    for density in (0.1, 0.3, 0.6):
+        for _ in range(15):
+            r, c = rng.randint(1, 8), rng.randint(1, 8)
+            _assert_kernel_matches_oracles(_sparse_matrix(rng, r, c, density, big=True))
+        for n in range(4, 7):
+            _assert_kernel_matches_oracles(_sparse_matrix(rng, n, n, density, big=True))
+
+
+def _permutation_sign(perm) -> int:
+    sign, seen = 1, set()
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def test_det_sign_when_rows_are_swapped_past_skipped_rows():
+    """Rows of an upper-triangular matrix in shuffled order: the pivot of
+    column k sits below rows skipped since earlier steps, and the det is
+    the sign of the shuffle times the diagonal product."""
+    rng = Random(114)
+    for n in range(4, 8):
+        for big in (False, True):
+            for _ in range(8):
+                upper = _staircase_rows(rng, range(n), n, density=rng.choice((0.2, 0.6)),
+                                        big=big)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                m = RMatrix.from_rows([upper[perm[i]] for i in range(n)])
+                diagonal = Fraction(1)
+                for k in range(n):
+                    diagonal *= upper[k][k]
+                assert m.det() == _permutation_sign(perm) * diagonal
+                _assert_kernel_matches_oracles(m, cofactor_up_to=7)
+
+
+@st.composite
+def _sparse_integer_matrices(draw):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.integers(-20, 20).filter(bool) if draw(st.booleans()) else st.integers(-3, 3)
+    ents = draw(st.lists(st.one_of(st.just(0), entry), min_size=rows * cols,
+                         max_size=rows * cols))
+    return RMatrix(rows, cols, ents)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_sparse_integer_matrices())
+def test_kernel_property_against_oracles(m):
+    assert m.rank() == bareiss_rank(m)
+    if m.rows == m.cols:
+        assert m.det() == (cofactor_det(m.to_rows()) if m.rows else 1)
