@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import isqrt, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .rational import rat
@@ -104,38 +104,24 @@ def binary_form_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
 
 
 def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
-    """All rational roots of a univariate polynomial, ascending."""
+    """All rational roots of a polynomial of degree at most two, ascending,
+    a double root once: the linear root, or the quadratic formula when the
+    discriminant of the integer-scaled coefficients is a perfect square.
+    Raises ValueError above degree two."""
     p = _strip(list(coeffs))
-    if not p or len(p) == 1:
+    if len(p) > 3:
+        raise ValueError("rational roots need a degree of at most two")
+    if len(p) < 2:
         return []
-    roots = set()
-    while p[0] == 0:
-        roots.add(Fraction(0))
-        p = p[1:]
-    if len(p) > 1:
-        mult = 1
-        for c in p:
-            mult = mult * c.denominator // int_gcd(mult, c.denominator)
-        ip = [int(c * mult) for c in p]
-        lead, tail = abs(ip[-1]), abs(ip[0])
-        for num in _divisors(tail):
-            for den in _divisors(lead):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if sum((c * cand**i for i, c in enumerate(ip)), Fraction(0)) == 0:
-                        roots.add(cand)
-    return sorted(roots)
-
-
-def _divisors(n: int) -> List[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    if len(p) == 2:
+        return [-p[0] / p[1]]
+    mult = lcm(*[x.denominator for x in p])
+    c, b, a = (x.numerator * (mult // x.denominator) for x in p)
+    disc = b * b - 4 * a * c
+    s = isqrt(disc) if disc >= 0 else -1
+    if s * s != disc:
+        return []
+    return sorted({Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)})
 
 
 ProjectivePoint = Tuple[Fraction, Fraction]
@@ -146,6 +132,7 @@ def rational_projective_roots(form: BinaryForm) -> Optional[List[ProjectivePoint
 
     Returns None for the zero form (every point is a root); the point at
     infinity, when present, is listed first, then finite roots ascending.
+    A form whose dehomogenised degree exceeds two raises ValueError.
     """
     if form.is_zero:
         return None

@@ -10,7 +10,10 @@ impossible for a correct parameterization and raises immediately.
 
 Trials draw integer coordinates in [-20, 20] from a generator seeded by
 (seed, trial index), so every certificate is reproducible from its seed
-and recorded witness point.
+and recorded witness point.  The evaluators run on integer dual numbers:
+each output is integer numerators over one shared denominator, whose
+partial numerators are the Jacobian row that the Bareiss rank reads,
+with no Fraction arithmetic and no rounding or modular shortcut.
 """
 
 from __future__ import annotations

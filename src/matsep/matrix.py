@@ -13,7 +13,7 @@ needs it.  Pivots, row swaps and signs are those of eager Bareiss.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
@@ -23,7 +23,7 @@ from .rational import rat
 class RMatrix:
     """Immutable matrix over the rationals, stored row-major."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_ints")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         ent = tuple(rat(e) for e in entries)
@@ -132,7 +132,12 @@ class RMatrix:
     # -- elimination -------------------------------------------------------
 
     def _integer_rows(self) -> tuple:
-        """Scale each row to integers; returns (rows, product of scales)."""
+        """Scale each row to integers; returns (rows, product of scales).
+        Computed once per matrix; callers must not mutate the rows."""
+        try:
+            return self._ints
+        except AttributeError:
+            pass
         rows = []
         scale = 1
         for r in range(self.rows):
@@ -140,6 +145,7 @@ class RMatrix:
             mult = lcm(*[e.denominator for e in row])
             scale *= mult
             rows.append([e.numerator * (mult // e.denominator) for e in row])
+        object.__setattr__(self, "_ints", (rows, scale))
         return rows, scale
 
     def _eliminate(self) -> tuple:
@@ -152,7 +158,8 @@ class RMatrix:
         any other row takes its next step straight from step k, which
         divides by its own `div[r]` where eager Bareiss divides by `prev`.
         """
-        m, scale = self._integer_rows()
+        rows, scale = self._integer_rows()
+        m = [row[:] for row in rows]
         nr, nc = self.rows, self.cols
         div = [1] * nr
         sign = prev = 1
@@ -270,6 +277,26 @@ class RMatrix:
     def _same_shape(self, other: "RMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError(f"shape mismatch: {self.shape()} vs {other.shape()}")
+
+
+class IntegerRowMatrix(RMatrix):
+    """A matrix given by its integer form: row r is `rows[r]` over the
+    integer `scales[r]` > 0.  Rank and det start from these rows, and the
+    Fraction entries are built on first read."""
+
+    __slots__ = ("_scales", "_entries")
+
+    def __init__(self, rows: list, cols: int, scales: list):
+        for name, value in (("rows", len(rows)), ("cols", cols), ("_scales", scales),
+                            ("_ints", (rows, prod(scales))), ("_entries", None)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(
+                Fraction(e, s) for row, s in zip(self._ints[0], self._scales) for e in row))
+        return self._entries
 
 
 def stack_rows(vectors: Sequence[Sequence]) -> RMatrix:

@@ -3,10 +3,11 @@
 The oracles here deliberately avoid the production code paths: brackets
 and quadrilinear invariants are recomputed through symbolic expansion
 (and xi also through inclusion-exclusion over block determinants),
-common roots through resultants, derivatives through symbolic
-differentiation, Jacobians through dense dual numbers, and ranks and
-determinants through eager Bareiss elimination, so agreement is evidence
-rather than tautology.
+common roots through resultants, rational roots through the rational
+root theorem, derivatives through symbolic differentiation, Jacobians
+through dense and through sparse Fraction dual numbers, and ranks and
+determinants through eager Bareiss elimination, so agreement is
+evidence rather than tautology.
 """
 
 from fractions import Fraction
@@ -189,6 +190,43 @@ def sylvester_resultant_quadratics(f, g) -> Fraction:
         [z, d2, d1, d0]]).det()
 
 
+def rational_roots_by_trial_division(coeffs) -> list:
+    """All rational roots of a univariate polynomial (coefficient i of x^i),
+    ascending, by the rational root theorem: every divisor of the constant
+    term over every divisor of the leading coefficient, found by trial
+    division in time O(sqrt(coefficient))."""
+    p = [Fraction(c) for c in coeffs]
+    while p and p[-1] == 0:
+        p.pop()
+    if len(p) <= 1:
+        return []
+    roots = set()
+    while p[0] == 0:
+        roots.add(Fraction(0))
+        p = p[1:]
+    if len(p) > 1:
+        mult = 1
+        for c in p:
+            mult = mult * c.denominator // gcd(mult, c.denominator)
+        ip = [int(c * mult) for c in p]
+        for num in _divisors(abs(ip[0])):
+            for den in _divisors(abs(ip[-1])):
+                for cand in (Fraction(num, den), Fraction(-num, den)):
+                    if sum((c * cand**i for i, c in enumerate(ip)), Fraction(0)) == 0:
+                        roots.add(cand)
+    return sorted(roots)
+
+
+def _divisors(n: int) -> list:
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out += [d, n // d] if d != n // d else [d]
+        d += 1
+    return sorted(out)
+
+
 # -- dense dual numbers --------------------------------------------------------
 
 
@@ -257,6 +295,89 @@ def dense_jacobian(evaluator, point) -> RMatrix:
     seeds = [DenseDual(v, [int(i == j) for j in range(k)]) for i, v in enumerate(pt)]
     rows = [list(out.partials) if isinstance(out, DenseDual) else [0] * k
             for out in evaluator(seeds)]
+    return RMatrix(len(rows), k, [e for row in rows for e in row])
+
+
+class SparseFractionDual:
+    """Forward-mode dual number with its nonzero partials in a dict of
+    Fractions: the product and quotient rules on the indices present, each
+    value and partial a reduced Fraction, as a second oracle for the
+    integer DualScalar."""
+
+    __slots__ = ("value", "nparams", "d")
+
+    def __init__(self, value, nparams, d=()):
+        self.value, self.nparams, self.d = Fraction(value), nparams, dict(d)
+
+    @property
+    def partials(self) -> tuple:
+        return tuple(self.d.get(i, Fraction(0)) for i in range(self.nparams))
+
+    def _coerce(self, other) -> "SparseFractionDual":
+        if isinstance(other, SparseFractionDual):
+            if other.nparams != self.nparams:
+                raise ShapeError("dual numbers with different parameter counts")
+            return other
+        return SparseFractionDual(other, self.nparams)
+
+    def __add__(self, other) -> "SparseFractionDual":
+        o = self._coerce(other)
+        return SparseFractionDual(self.value + o.value, self.nparams,
+                                  _sparse_merge(self.d, o.d, 1))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "SparseFractionDual":
+        return SparseFractionDual(-self.value, self.nparams, _sparse_scaled(self.d, -1))
+
+    def __sub__(self, other) -> "SparseFractionDual":
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other) -> "SparseFractionDual":
+        return self._coerce(other) - self
+
+    def __mul__(self, other) -> "SparseFractionDual":
+        o = self._coerce(other)
+        return SparseFractionDual(self.value * o.value, self.nparams, _sparse_merge(
+            _sparse_scaled(self.d, o.value), o.d, self.value))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "SparseFractionDual":
+        o = self._coerce(other)
+        if o.value == 0:
+            raise ZeroDivisionError("dual division by a scalar with zero value")
+        # (u/v)' = (u' - q v') / v with q = u/v
+        q = self.value / o.value
+        return SparseFractionDual(q, self.nparams, _sparse_scaled(
+            _sparse_merge(self.d, o.d, -q), 1 / o.value))
+
+    def __rtruediv__(self, other) -> "SparseFractionDual":
+        return self._coerce(other) / self
+
+
+def _sparse_scaled(d: dict, c) -> dict:
+    return {i: p * c for i, p in d.items()} if c else {}
+
+
+def _sparse_merge(d: dict, e: dict, c) -> dict:
+    """d + c * e, dropping partials that cancel."""
+    out = dict(d)
+    for i, p in e.items():
+        s = out.get(i, 0) + c * p
+        if s:
+            out[i] = s
+        else:
+            out.pop(i, None)
+    return out
+
+
+def sparse_fraction_jacobian(evaluator, point) -> RMatrix:
+    """Jacobian of a rational map at a point, through sparse Fraction duals."""
+    pt = [Fraction(x) for x in point]
+    k = len(pt)
+    rows = [list(out.partials) if isinstance(out, SparseFractionDual) else [0] * k
+            for out in evaluator([SparseFractionDual(v, k, {i: 1}) for i, v in enumerate(pt)])]
     return RMatrix(len(rows), k, [e for row in rows for e in row])
 
 

@@ -1,8 +1,11 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from matsep import BinaryForm, binary_form_gcd, rational_projective_roots
-from helpers import sylvester_resultant_quadratics
+from helpers import rational_roots_by_trial_division, sylvester_resultant_quadratics
 
 
 def form(*coeffs):
@@ -84,3 +87,66 @@ def _times_linear(p, q):
     (p1, p2), (q1, q2) = p, q
     return BinaryForm(2, (Fraction(p1 * q1), Fraction(p1 * q2 + p2 * q1),
                           Fraction(p2 * q2)))
+
+
+def _finite_roots(f):
+    return [x for x, v in rational_projective_roots(f) if v == 1]
+
+
+def test_double_and_zero_roots_listed_once():
+    # (u - 3v)^2 / 4, u^2 and u(2u + 5v)
+    assert rational_projective_roots(form(Fraction(9, 4), Fraction(-3, 2), Fraction(1, 4))) \
+        == [(Fraction(3), Fraction(1))]
+    assert rational_projective_roots(form(0, 0, 7)) == [(Fraction(0), Fraction(1))]
+    assert _finite_roots(form(0, 5, 2)) == [Fraction(-5, 2), Fraction(0)]
+    # v (u - v): the root at infinity first, then the finite root
+    assert rational_projective_roots(form(-1, 1, 0)) == [
+        (Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))]
+
+
+def test_roots_of_12_digit_factored_forms():
+    """(p1 u - q1 v)(p2 u - q2 v) with six-digit p, q: coefficients of up to
+    twelve digits, roots q1/p1 and q2/p2 known from the construction."""
+    rng = Random(311)
+    for _ in range(200):
+        p1, p2 = (rng.choice((-1, 1)) * rng.randint(1, 10 ** 6) for _ in "pp")
+        q1, q2 = (rng.randint(-10 ** 6, 10 ** 6) for _ in "qq")
+        f = form(q1 * q2, -(p1 * q2 + p2 * q1), p1 * p2)
+        assert _finite_roots(f) == sorted({Fraction(q1, p1), Fraction(q2, p2)})
+        assert _finite_roots(form(-q1, p1)) == [Fraction(q1, p1)]
+
+
+def test_degree_above_two_is_rejected():
+    with pytest.raises(ValueError):
+        rational_projective_roots(form(-1, 0, 0, 1))
+    # a cubic form with a root at infinity dehomogenises to degree two
+    assert _finite_roots(form(-4, 0, 1, 0)) == [Fraction(-2), Fraction(2)]
+
+
+@st.composite
+def _small_end_forms(draw):
+    """Linear and quadratic forms whose outer coefficients stay below 10^6,
+    so the trial-division oracle finishes, and whose middle coefficient has
+    up to twelve digits; half of them are products of small linear factors,
+    so rational, double and zero roots come up often."""
+    if draw(st.booleans()):
+        factor = st.tuples(st.integers(-999, 999), st.integers(-999, 999))
+        (a, b), (c, d) = draw(factor), draw(factor)
+        coeffs = [a * c, a * d + b * c, b * d]
+        if draw(st.booleans()):
+            coeffs = [a, b]
+    else:
+        outer = st.integers(-10 ** 6, 10 ** 6)
+        coeffs = [draw(outer), draw(st.integers(-10 ** 12, 10 ** 12)), draw(outer)]
+    den = draw(st.sampled_from((1, 1, 2, 3, 7)))
+    return [Fraction(c, den) for c in coeffs]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_small_end_forms())
+def test_roots_match_trial_division_oracle(coeffs):
+    f = BinaryForm(len(coeffs) - 1, tuple(coeffs))
+    if f.is_zero:
+        assert rational_projective_roots(f) is None
+        return
+    assert _finite_roots(f) == rational_roots_by_trial_division(coeffs)

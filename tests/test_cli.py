@@ -199,6 +199,22 @@ def test_stability_command(tmp_path):
     assert json.loads(out)["result"]["stable"] is True
 
 
+def test_stability_with_10_digit_direction(tmp_path):
+    """A 2-tuple g.U whose common direction is [p : q] with 10-digit primes:
+    U = (diag(1, 2), [[3, 1], [0, 1]]) and g sends e1 to (p, q).  Its one
+    direction form has 60-bit coefficients, which a rational-root search
+    by trial division does not get through."""
+    p, q = 1000000007, 999999937
+    doc = {"kind": "lr-tuple", "n": 2, "matrices": [
+        [["1/1000000007", "0"], ["-1999999874", "2000000014"]],
+        [["-999999943999999556/1000000007", "1000000007"], ["-999999937", "1000000007"]]]}
+    code, out, _ = run_cli(["stability", write(tmp_path, "t.json", doc)])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["stable"] is False
+    assert result["common_direction"] == [f"{p}/{q}", "1"]
+
+
 def test_nullcone_command(tmp_path):
     doc = {"kind": "lr-tuple", "n": 1, "matrices": [[[0, 1], [0, 0]]]}
     path = write(tmp_path, "n.json", doc)

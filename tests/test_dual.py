@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 from random import Random
 
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from matsep import (ChartSingularityError, DualScalar, RMatrix, ShapeError,
                     SparsePoly, builtin_claims, builtin_parameterization,
                     jacobian, jacobian_of)
-from helpers import DenseDual, dense_jacobian, rand_fraction
+from matsep.dual import seed_point
+from helpers import (DenseDual, SparseFractionDual, bareiss_det, bareiss_rank,
+                     dense_jacobian, rand_fraction, sparse_fraction_jacobian)
 
 
 def test_product_rule():
@@ -143,36 +146,48 @@ def test_int_constants_keep_arithmetic_exact():
 
 
 def test_random_expressions_match_dense_oracle():
-    """Every operator, with constants on either side, against dense duals."""
+    """Every operator, with int or Fraction constants on either side and
+    division by duals with negative values, against dense duals and sparse
+    Fraction duals; each result also equals, and hashes like, the dual
+    built directly from the oracle's Fractions."""
     ops = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
-           lambda a, b: a / b]
+           lambda a, b: a / b, lambda a, b: a / -b, lambda a, b: a / (b - 10)]
     rng = Random(207)
+    negative_divisors = 0
     for _ in range(300):
         k = rng.randint(1, 4)
         point = [rand_fraction(rng, -5, 5) for _ in range(k)]
-        sparse = [DualScalar.variable(v, i, k) for i, v in enumerate(point)]
-        dense = [DenseDual(v, [int(i == j) for j in range(k)])
-                 for i, v in enumerate(point)]
+        duals = [seed_point(point), [DenseDual(v, [int(i == j) for j in range(k)])
+                                     for i, v in enumerate(point)],
+                 [SparseFractionDual(v, k, {i: 1}) for i, v in enumerate(point)]]
         for _ in range(8):
-            op = rng.choice(ops)
-            i, j = rng.randrange(len(sparse)), rng.randrange(len(sparse))
+            o = rng.randrange(len(ops))
+            op = ops[o]
+            i, j = rng.randrange(len(duals[0])), rng.randrange(len(duals[0]))
             c = rng.choice([rand_fraction(rng, -3, 3), rng.randint(-3, 3)])
-            pairs = [(sparse[i], sparse[j], dense[i], dense[j]),
-                     (sparse[i], c, dense[i], c), (c, sparse[j], c, dense[j])]
-            s_left, s_right, d_left, d_right = rng.choice(pairs)
+            side = rng.randrange(3)
+            args = [((d[i], d[j]), (d[i], c), (c, d[j]))[side] for d in duals]
             try:
-                want = op(d_left, d_right)
+                want = op(*args[1])
             except ZeroDivisionError:
-                with pytest.raises(ZeroDivisionError):
-                    op(s_left, s_right)
+                for a in (args[0], args[2]):
+                    with pytest.raises(ZeroDivisionError):
+                        op(*a)
                 continue
-            got = op(s_left, s_right)
-            assert got.value == want.value and got.partials == want.partials
+            got, other = op(*args[0]), op(*args[2])
+            assert got.value == want.value == other.value
+            assert got.partials == want.partials == other.partials
             assert all(type(p) is Fraction for p in (got.value, *got.partials))
-            sparse.append(got)
-            dense.append(want)
-        neg = -sparse[-1]
-        assert neg.partials == tuple(-p for p in dense[-1].partials)
+            direct = DualScalar(want.value, want.partials)
+            assert got == direct and hash(got) == hash(direct)
+            divisor = args[1][1]
+            if o >= 3 and isinstance(divisor, DenseDual):
+                negative_divisors += (divisor, -divisor, divisor - 10)[o - 3].value < 0
+            for d, r in zip(duals, (got, want, other)):
+                d.append(r)
+        neg = -duals[0][-1]
+        assert neg.partials == tuple(-p for p in duals[1][-1].partials)
+    assert negative_divisors > 100
 
 
 def _oracle_points(param, rng, count=3):
@@ -193,3 +208,137 @@ def test_builtin_jacobians_match_dense_oracle(l, n):
         param = builtin_parameterization(row.name, n, l)
         for point in _oracle_points(param, rng):
             assert jacobian(param, point) == dense_jacobian(param.evaluator, point)
+
+
+# -- the integer representation ------------------------------------------------
+
+
+_OPS = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+        lambda a, b: a / b, lambda a, b: a / -b, lambda a, b: a / (b - 10)]
+
+
+def _random_program(rng: Random, k: int, steps: int) -> list:
+    """Steps (op, i, j, constant, swap): value i op (value j, or the int or
+    Fraction constant), with the operands swapped when `swap` is set."""
+    return [(rng.randrange(len(_OPS)), rng.randrange(k + s), rng.randrange(k + s),
+             rng.choice([None, None, rand_fraction(rng, -3, 3), rng.randint(-3, 3)]),
+             rng.random() < 0.5)
+            for s in range(steps)]
+
+
+def _run(program, params) -> list:
+    vals = list(params)
+    for op, i, j, c, swap in program:
+        a, b = vals[i], (vals[j] if c is None else c)
+        vals.append(_OPS[op](*((b, a) if swap else (a, b))))
+    return vals
+
+
+def test_non_canonical_equal_forms_compare_and_hash_equal():
+    x = DualScalar.variable(Fraction(5, 2), 0, 3)
+    y = DualScalar.variable(-7, 1, 3)
+    forms = [x * 3 / 3, x / 2 * 2, (x * y) / y, x + Fraction(1, 3) - Fraction(1, 3),
+             -(x / -1), (x * 6) / DualScalar.constant(6, 3), 2 * x - x]
+    for f in forms:
+        assert f == x and x == f
+        assert hash(f) == hash(x)
+    assert len(set(forms + [x])) == 1
+    # the stored denominators differ although the duals are equal
+    assert len({f._q for f in forms}) > 1
+    assert (x * 3 / 3) != x + 1 and (x * 3 / 3) != y
+    one = (x - x + 3) / 3
+    assert one == 1 and one == Fraction(1) and one != Fraction(1, 2)
+    assert hash(one) == hash(DualScalar.constant(1, 3))
+
+
+def test_value_and_partials_are_reduced_fractions():
+    x = DualScalar.variable(Fraction(3, 4), 0, 2)
+    y = DualScalar.variable(6, 1, 2)
+    z = x * 6 / 4 * y / y
+    assert z._q % 2 == 0 and z._q > 8
+    assert z.value == Fraction(9, 8)
+    assert (z.value.numerator, z.value.denominator) == (9, 8)
+    assert z.partials == (Fraction(3, 2), Fraction(0))
+    assert [(p.numerator, p.denominator) for p in z.partials] == [(3, 2), (0, 1)]
+    assert all(type(p) is Fraction for p in (z.value, *z.partials))
+
+
+@pytest.mark.parametrize("l,n", [(None, 4), (None, 5), (3, 5), (4, 6)])
+def test_jacobian_integer_rows_are_scaled_oracle_rows(l, n):
+    """row_r = entries_r * s_r with s_r > 0 and scale = prod s_r, against the
+    dense oracle's entries; rank against eager Bareiss of the oracle."""
+    rng = Random(520 + 10 * n + (l or 0))
+    for row in builtin_claims(n, l):
+        param = builtin_parameterization(row.name, n, l)
+        for point in _oracle_points(param, rng, count=1):
+            jac = jacobian(param, point)
+            oracle = dense_jacobian(param.evaluator, point)
+            rows, scale = jac._integer_rows()
+            scales = jac._scales
+            assert all(type(s) is int and s > 0 for s in scales)
+            assert scale == prod(scales)
+            for r in range(oracle.rows):
+                assert all(type(e) is int for e in rows[r])
+                assert rows[r] == [e * scales[r] for e in oracle.row(r)]
+            assert jac == oracle == sparse_fraction_jacobian(param.evaluator, point)
+            assert jac.rank() == bareiss_rank(oracle)
+            assert jac._integer_rows() is jac._integer_rows()
+
+
+def test_square_jacobians_det_and_rank_match_oracles():
+    """Random rational maps from k parameters to k outputs, some of them
+    constant, so that zero rows and rank deficiency come up."""
+    rng = Random(530)
+    checked = singular = 0
+    while checked < 120:
+        k = rng.randint(1, 6)
+        program = _random_program(rng, k, 10)
+        picks = [rng.randrange(k + 10) for _ in range(k)]
+        constant = rng.random() < 0.2
+
+        def evaluator(ps, program=program, picks=picks, constant=constant):
+            vals = _run(program, ps)
+            outs = [vals[i] for i in picks]
+            return outs[:-1] + [Fraction(2)] if constant else outs
+        point = [rand_fraction(rng, -6, 6) for _ in range(k)]
+        try:
+            oracle = dense_jacobian(evaluator, point)
+        except ZeroDivisionError:
+            continue
+        jac = jacobian_of(evaluator, point)
+        assert jac == oracle
+        assert jac.det() == bareiss_det(oracle)
+        assert jac.rank() == bareiss_rank(oracle)
+        checked += 1
+        singular += jac.det() == 0
+    assert 0 < singular < checked
+
+
+_FRACTION_ARITHMETIC = ("__new__", "__add__", "__radd__", "__sub__", "__rsub__",
+                        "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                        "__neg__", "__pow__", "__eq__")
+
+
+@pytest.mark.parametrize("l,n", [(None, 5), (4, 6)])
+def test_builtin_evaluators_build_no_fraction(l, n):
+    """With Fraction construction and arithmetic disabled, every builtin
+    evaluator still runs on integer duals."""
+    rng = Random(540 + n)
+    params = [builtin_parameterization(row.name, n, l) for row in builtin_claims(n, l)]
+    seeded = [seed_point(_oracle_points(param, rng, count=1)[0]) for param in params]
+
+    def forbidden(*_, **__):
+        raise AssertionError("Fraction used inside dual arithmetic")
+    saved = {name: Fraction.__dict__[name] for name in _FRACTION_ARITHMETIC}
+    try:
+        for name in _FRACTION_ARITHMETIC:
+            setattr(Fraction, name, staticmethod(forbidden) if name == "__new__" else forbidden)
+        outputs = [param.evaluator(seeds) for param, seeds in zip(params, seeded)]
+    finally:
+        for name, value in saved.items():
+            setattr(Fraction, name, value)
+    for param, seeds, outs in zip(params, seeded, outputs):
+        point = [s.value for s in seeds]
+        got = [list(o.partials) if isinstance(o, DualScalar) else [0] * len(point)
+               for o in outs]
+        assert got == dense_jacobian(param.evaluator, point).to_rows()

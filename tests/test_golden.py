@@ -2,10 +2,13 @@
 
 The files under tests/golden/ are the exact stdout of each command, as
 recorded before the sparse dual numbers and integer row scaling landed
-(`certify`) and before rank and determinant shared one skipping Bareiss
+(`certify`), before rank and determinant shared one skipping Bareiss
 kernel (`graph`, `stability`, `nullcone`, `invariants` on the fixture
-documents next to them), so ranks, minors, witness points and verdicts
-are pinned, not re-derived.  Document commands run from tests/golden/,
+documents next to them), and before the integer dual numbers and the
+closed-form rational roots (`separate`, `phi`, `classify`, `curve` and
+two-sided `stability` with rational common directions), so ranks,
+minors, witness points, directions and verdicts are pinned, not
+re-derived.  Document commands run from tests/golden/,
 so the report echoes each document's bare file name.
 """
 
@@ -42,6 +45,15 @@ DOCUMENT_CASES = [
      ["nullcone", "left_deficient_l4_n7.json"]),
     ("invariants_left_full_l4_n6.txt", ["invariants", "left_full_l4_n6.json"]),
     ("invariants_left_l5_n7.txt", ["invariants", "left_l5_n7.json"]),
+    ("separate_lr_orbit_n5.txt", ["separate", "lr_orbit_n5.json"]),
+    ("separate_left_l3_n6.txt", ["separate", "graph_left_l3_n6.json"]),
+    ("separate_left_separated_l3_n5.txt",
+     ["separate", "left_separated_l3_n5.json"]),
+    ("phi_upper_n5.txt", ["phi", "graph_upper_n5.json"]),
+    ("classify_upper_n5.txt", ["classify", "graph_upper_n5.json"]),
+    ("curve_left_l3_n6.txt", ["curve", "curve_left_l3_n6.json"]),
+    ("stability_direction_n4.txt", ["stability", "direction_n4.json"]),
+    ("stability_two_directions_n3.txt", ["stability", "two_directions_n3.json"]),
 ]
 
 
