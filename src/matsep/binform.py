@@ -82,8 +82,10 @@ def _dehomogenize(form: BinaryForm) -> List[Fraction]:
 def binary_form_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
     """Gcd of binary forms; positive degree iff a common complex root exists.
 
-    An all-zero family yields the zero form, which callers must treat as
-    "everything vanishes" (every direction is a common root).
+    The gcd is monic (its highest nonzero coefficient is 1), so it does not
+    depend on how each form is scaled.  An all-zero family yields the zero
+    form, which callers must treat as "everything vanishes" (every
+    direction is a common root).
     """
     nonzero = [f for f in forms if not f.is_zero]
     if not nonzero:
@@ -96,11 +98,9 @@ def binary_form_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
         g = _poly_gcd(g, _dehomogenize(f))
         if len(g) == 1 and inf_mult == 0:
             break
-    deg = (len(g) - 1) + inf_mult
-    coeffs = [Fraction(0)] * (deg + 1)
-    for i, c in enumerate(g):
-        coeffs[i] = c
-    return BinaryForm(deg, tuple(coeffs))
+    lead = g[-1]
+    coeffs = [c / lead for c in g] + [Fraction(0)] * inf_mult
+    return BinaryForm(len(coeffs) - 1, tuple(coeffs))
 
 
 def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:

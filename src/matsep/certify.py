@@ -168,9 +168,10 @@ def _sl_chart_guard(l: int, offset: int) -> Callable[[Sequence], Fraction]:
 
 
 def _gmul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    return [[sum(A[r][k] * B[k][c] for k in range(inner)) for c in range(cols)]
-            for r in range(rows)]
+    """Matrix product; each sum starts from its first product, not from 0."""
+    inner = range(1, len(B))
+    return [[sum((row[k] * B[k][c] for k in inner), row[0] * B[0][c])
+             for c in range(len(B[0]))] for row in A]
 
 
 def _adj2(M):

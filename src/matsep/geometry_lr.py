@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import FrozenSet, List, Optional, Tuple
 
 from .binform import BinaryForm, binary_form_gcd, rational_projective_roots
 from .errors import PreconditionError, ShapeError
-from .invariants import MatrixTupleLR, bracket, det_inv
+from .invariants import MatrixTupleLR, generator_blocks
 from .matrix import RMatrix, stack_rows
 from .separation import GroupElementLR, act_lr, separated_lr
 
@@ -98,11 +98,13 @@ def direction_forms(A: MatrixTupleLR) -> List[BinaryForm]:
     A common projective root of all q_ij is exactly a direction v whose
     images A_1 v, ..., A_n v span at most a line.
     """
+    return _pair_forms(m.entries for m in A.matrices)
+
+
+def _pair_forms(quads) -> List[BinaryForm]:
+    """direction_forms of matrices given by row-major entry quadruples."""
     forms = []
-    for i, j in combinations(range(A.n), 2):
-        X, Y = A.matrices[i], A.matrices[j]
-        a_i, b_i, c_i, d_i = X.entries
-        a_j, b_j, c_j, d_j = Y.entries
+    for (a_i, b_i, c_i, d_i), (a_j, b_j, c_j, d_j) in combinations(quads, 2):
         # det[(a_i v1 + b_i v2, c_i v1 + d_i v2) | (same for j)]
         c_uu = a_i * c_j - a_j * c_i
         c_uv = a_i * d_j + b_i * c_j - a_j * d_i - b_j * c_i
@@ -112,7 +114,9 @@ def direction_forms(A: MatrixTupleLR) -> List[BinaryForm]:
 
 
 def _direction_gcd(A: MatrixTupleLR) -> BinaryForm:
-    return binary_form_gcd(direction_forms(A))
+    """The monic gcd of the direction forms, taken over the integer form:
+    each form is scaled by q_i q_j, which leaves the monic gcd unchanged."""
+    return binary_form_gcd(_pair_forms(A.integer_form[0]))
 
 
 def common_directions(A: MatrixTupleLR) -> Optional[List[ProjectivePoint]]:
@@ -188,10 +192,7 @@ def is_stable_lr(A: MatrixTupleLR) -> StabilityReport:
 
 def nullcone_member_lr(A: MatrixTupleLR) -> bool:
     """True iff all invariants vanish; degree at most two suffices."""
-    n = A.n
-    if any(det_inv(A, i) != 0 for i in range(1, n + 1)):
-        return False
-    return all(bracket(A, i, j) == 0 for i, j in combinations(range(1, n + 1), 2))
+    return not any(v for _, _, values in islice(generator_blocks(A), 2) for v in values)
 
 
 def phi(p: UpperPair) -> PhiImage:

@@ -14,10 +14,17 @@ A_i, A_j, A_k, A_l, X_r for row r of X and w(u, v) = u_0 v_1 - u_1 v_0,
     xi = - w(A_0,C_0) w(B_1,D_1) + w(A_0,C_1) w(B_1,D_0)
          + w(A_1,C_0) w(B_0,D_1) - w(A_1,C_1) w(B_0,D_0).
 
-The wedge block [w(A_r, C_s)] depends on the pair (i, k) only, so all xi
-are read off one table of C(n,2) integer wedge blocks.  For l x n
-matrices under left determinant-one multiplication the generators are
-the maximal minors.
+Every block reads one integer form of the tuple, computed once and kept
+on it: matrix i is ints[i] / q_i, with q_i the lcm of its denominators.
+Each value is then one Fraction over a product of the q's: det(A_i) is
+x0 x3 - x1 x2 over q_i^2, the pairing is the polarized determinant
+x0 y3 + x3 y0 - x1 y2 - x2 y1 over q_i q_j (X = ints[i], Y = ints[j]),
+and since the wedge block [w(A_r, C_s)] depends on the pair (i, k) only,
+all xi are read off one table of C(n,2) integer wedge blocks, over
+q_i q_j q_k q_l.  For l x n matrices under left determinant-one
+multiplication the generators are the maximal minors; the rows are
+scaled to integers once and every minor is an integer determinant over
+the product of the row scales.
 
 Generator vectors are reported in a frozen canonical order (determinants,
 then pairings in lexicographic index order, then quadrilinear terms in
@@ -30,12 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
 from typing import Sequence, Tuple
 
 from .errors import PreconditionError, ShapeError
-from .matrix import RMatrix
+from .matrix import RMatrix, integer_det
 
 
 @dataclass(frozen=True)
@@ -66,6 +74,15 @@ class MatrixTupleLR:
 
     def is_upper(self) -> bool:
         return all(m.at(1, 0) == 0 for m in self.matrices)
+
+    @cached_property
+    def integer_form(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
+        """(ints, scale), computed once per tuple: scale[i] is the lcm q_i of
+        matrix i's denominators and ints[i] its row-major entries times q_i."""
+        scale = tuple(lcm(*(e.denominator for e in m.entries)) for m in self.matrices)
+        ints = tuple(tuple(e.numerator * (q // e.denominator) for e in m.entries)
+                     for m, q in zip(self.matrices, scale))
+        return ints, scale
 
 
 @dataclass(frozen=True)
@@ -159,13 +176,25 @@ def xi(A: MatrixTupleLR, i: int, j: int, k: int, l: int) -> Fraction:
                            _wedges(m[j - 1].entries, m[l - 1].entries))
 
 
+def _det_block(A: MatrixTupleLR) -> Tuple[Fraction, ...]:
+    """All det(A_i), each x0 x3 - x1 x2 over q_i^2."""
+    ints, scale = A.integer_form
+    return tuple(Fraction(x0 * x3 - x1 * x2, q * q)
+                 for (x0, x1, x2, x3), q in zip(ints, scale))
+
+
+def _bracket_block(A: MatrixTupleLR) -> Tuple[Fraction, ...]:
+    """All pairings in canonical order: Tr(X)Tr(Y) - Tr(XY) is the polarized
+    determinant x0 y3 + x3 y0 - x1 y2 - x2 y1, over q_i q_j."""
+    ints, scale = A.integer_form
+    return tuple(Fraction(x0 * y3 + x3 * y0 - x1 * y2 - x2 * y1, scale[i] * scale[j])
+                 for (i, (x0, x1, x2, x3)), (j, (y0, y1, y2, y3))
+                 in combinations(enumerate(ints), 2))
+
+
 def _xi_block(A: MatrixTupleLR) -> Tuple[Fraction, ...]:
-    """All xi in canonical order: each matrix is scaled to integers by the
-    lcm q of its denominators, and each value is one Fraction over
-    q_i q_j q_k q_l."""
-    scale = [lcm(*(e.denominator for e in m.entries)) for m in A.matrices]
-    ints = [tuple(e.numerator * (q // e.denominator) for e in m.entries)
-            for m, q in zip(A.matrices, scale)]
+    """All xi in canonical order, each one Fraction over q_i q_j q_k q_l."""
+    ints, scale = A.integer_form
     table = {(a, c): _wedges(ints[a], ints[c]) for a, c in combinations(range(A.n), 2)}
     return tuple(Fraction(_xi_from_wedges(table[a, c], table[b, d]),
                           scale[a] * scale[b] * scale[c] * scale[d])
@@ -175,9 +204,8 @@ def _xi_block(A: MatrixTupleLR) -> Tuple[Fraction, ...]:
 def generator_blocks(A: MatrixTupleLR):
     """Yield (kind, arity, values) for the det, pairing and xi blocks in
     canonical order, each computed only when it is asked for."""
-    indices = range(1, A.n + 1)
-    yield "det", 1, tuple(det_inv(A, i) for i in indices)
-    yield "bracket", 2, tuple(bracket(A, i, j) for i, j in combinations(indices, 2))
+    yield "det", 1, _det_block(A)
+    yield "bracket", 2, _bracket_block(A)
     yield "xi", 4, _xi_block(A)
 
 
@@ -194,11 +222,9 @@ def minors_left(A: LeftMatrix) -> Tuple[Fraction, ...]:
     l, n = A.l, A.n
     if n < l:
         return ()
-    out = []
-    for cols in combinations(range(n), l):
-        sub = RMatrix(l, l, [A.matrix.at(r, c) for r in range(l) for c in cols])
-        out.append(sub.det())
-    return tuple(out)
+    rows, scale = A.matrix._integer_rows()
+    return tuple(Fraction(integer_det([[row[c] for c in cols] for row in rows]), scale)
+                 for cols in combinations(range(n), l))
 
 
 def minor_column_sets(l: int, n: int) -> Tuple[Tuple[int, ...], ...]:

@@ -148,52 +148,9 @@ class RMatrix:
         object.__setattr__(self, "_ints", (rows, scale))
         return rows, scale
 
-    def _eliminate(self) -> tuple:
-        """Bareiss elimination of the integer-scaled rows that skips every
-        row with a zero in the pivot column; returns (rank, sign of the row
-        swaps, last pivot, row scale).
-
-        `div[r]` is p_{k-1}, where k is the step row r was last brought to.
-        A pivot row is caught up to the current step by `* prev // div[r]`;
-        any other row takes its next step straight from step k, which
-        divides by its own `div[r]` where eager Bareiss divides by `prev`.
-        """
-        rows, scale = self._integer_rows()
-        m = [row[:] for row in rows]
-        nr, nc = self.rows, self.cols
-        div = [1] * nr
-        sign = prev = 1
-        piv_r = 0
-        for piv_c in range(nc):
-            if piv_r == nr:
-                break
-            pr = next((r for r in range(piv_r, nr) if m[r][piv_c]), None)
-            if pr is None:
-                continue
-            if pr != piv_r:
-                m[pr], m[piv_r] = m[piv_r], m[pr]
-                div[pr], div[piv_r] = div[piv_r], div[pr]
-                sign = -sign
-            top = m[piv_r]
-            if div[piv_r] != prev:
-                top = [e * prev // div[piv_r] for e in top]
-            p = top[piv_c]
-            for r in range(piv_r + 1, nr):
-                row = m[r]
-                f = row[piv_c]
-                if f:
-                    d = div[r]
-                    for c in range(piv_c + 1, nc):
-                        row[c] = (p * row[c] - f * top[c]) // d
-                    row[piv_c] = 0
-                    div[r] = p
-            prev = p
-            piv_r += 1
-        return piv_r, sign, prev, scale
-
     def rank(self) -> int:
         """Exact rank via fraction-free (Bareiss) elimination."""
-        return self._eliminate()[0]
+        return _bareiss(self._integer_rows()[0], self.cols)[0]
 
     def det(self) -> Fraction:
         """Exact determinant (Bareiss for sizes above three)."""
@@ -210,10 +167,8 @@ class RMatrix:
         if n == 3:
             a, b, c, d, e, f, g, h, i = self.entries
             return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        rank, sign, last, scale = self._eliminate()
-        if rank < n:
-            return Fraction(0)
-        return Fraction(sign * last) / scale
+        rows, scale = self._integer_rows()
+        return Fraction(integer_det(rows), scale)
 
     def rref(self) -> tuple:
         """Reduced row echelon form; returns (rows, pivot column list)."""
@@ -297,6 +252,57 @@ class IntegerRowMatrix(RMatrix):
             object.__setattr__(self, "_entries", tuple(
                 Fraction(e, s) for row, s in zip(self._ints[0], self._scales) for e in row))
         return self._entries
+
+
+def _bareiss(rows: list, nc: int) -> tuple:
+    """Bareiss elimination of a copy of the integer rows that skips every
+    row with a zero in the pivot column; returns (rank, sign of the row
+    swaps, last pivot).
+
+    `div[r]` is p_{k-1}, where k is the step row r was last brought to.
+    A pivot row is caught up to the current step by `* prev // div[r]`;
+    any other row takes its next step straight from step k, which
+    divides by its own `div[r]` where eager Bareiss divides by `prev`.
+    """
+    m = [row[:] for row in rows]
+    nr = len(m)
+    div = [1] * nr
+    sign = prev = 1
+    piv_r = 0
+    for piv_c in range(nc):
+        if piv_r == nr:
+            break
+        pr = next((r for r in range(piv_r, nr) if m[r][piv_c]), None)
+        if pr is None:
+            continue
+        if pr != piv_r:
+            m[pr], m[piv_r] = m[piv_r], m[pr]
+            div[pr], div[piv_r] = div[piv_r], div[pr]
+            sign = -sign
+        top = m[piv_r]
+        if div[piv_r] != prev:
+            top = [e * prev // div[piv_r] for e in top]
+        p = top[piv_c]
+        for r in range(piv_r + 1, nr):
+            row = m[r]
+            f = row[piv_c]
+            if f:
+                d = div[r]
+                for c in range(piv_c + 1, nc):
+                    row[c] = (p * row[c] - f * top[c]) // d
+                row[piv_c] = 0
+                div[r] = p
+        prev = p
+        piv_r += 1
+    return piv_r, sign, prev
+
+
+def integer_det(grid: list) -> int:
+    """Determinant of a square grid of integers by the Bareiss kernel; the
+    grid is not modified."""
+    n = len(grid)
+    rank, sign, last = _bareiss(grid, n)
+    return sign * last if rank == n else 0
 
 
 def stack_rows(vectors: Sequence[Sequence]) -> RMatrix:

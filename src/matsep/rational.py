@@ -14,7 +14,7 @@ from fractions import Fraction
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(0*[1-9]\d*))?$")
 
 
 def rat(x) -> Fraction:
@@ -30,10 +30,11 @@ def rat(x) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q', q nonzero; decimal and float notation is rejected."""
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    m = _RATIONAL_RE.match(text.strip())
+    if m is None:
         raise ValueError(f"not an exact rational literal: {text!r}")
-    return Fraction(s)
+    num, den = m.groups()
+    return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
 
 
 def format_rational(x: Fraction) -> str:

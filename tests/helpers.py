@@ -4,18 +4,23 @@ The oracles here deliberately avoid the production code paths: brackets
 and quadrilinear invariants are recomputed through symbolic expansion
 (and xi also through inclusion-exclusion over block determinants),
 common roots through resultants, rational roots through the rational
-root theorem, derivatives through symbolic differentiation, Jacobians
-through dense and through sparse Fraction dual numbers, and ranks and
-determinants through eager Bareiss elimination, so agreement is
-evidence rather than tautology.
+root theorem, the det and pairing blocks, nullcone membership, the
+direction gcd and the maximal minors through Fraction loops over the
+single-value functions, derivatives through symbolic differentiation,
+Jacobians through dense and through sparse Fraction dual numbers, and
+ranks and determinants through eager Bareiss elimination, so agreement
+is evidence rather than tautology.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from random import Random
 
 from matsep import (LeftMatrix, MatrixTupleLR, RMatrix, ShapeError, SparsePoly,
-                    GroupElementL, GroupElementLR, poly_expand_det)
+                    GroupElementL, GroupElementLR, binary_form_gcd, bracket,
+                    det_inv, poly_expand_det)
+from matsep.geometry_lr import direction_forms
 
 
 def rand_fraction(rng: Random, lo=-9, hi=9, denominators=(1, 1, 1, 2, 3)) -> Fraction:
@@ -379,6 +384,41 @@ def sparse_fraction_jacobian(evaluator, point) -> RMatrix:
     rows = [list(out.partials) if isinstance(out, SparseFractionDual) else [0] * k
             for out in evaluator([SparseFractionDual(v, k, {i: 1}) for i, v in enumerate(pt)])]
     return RMatrix(len(rows), k, [e for row in rows for e in row])
+
+
+# -- Fraction loops behind the integer-form blocks -----------------------------
+
+
+def det_block_by_fractions(A: MatrixTupleLR) -> tuple:
+    """The det block as one det_inv call per index."""
+    return tuple(det_inv(A, i) for i in range(1, A.n + 1))
+
+
+def bracket_block_by_fractions(A: MatrixTupleLR) -> tuple:
+    """The pairing block as one bracket call per index pair."""
+    return tuple(bracket(A, i, j) for i, j in combinations(range(1, A.n + 1), 2))
+
+
+def nullcone_member_by_fractions(A: MatrixTupleLR) -> bool:
+    """All dets, then all pairings vanish, one Fraction value at a time."""
+    n = A.n
+    if any(det_inv(A, i) != 0 for i in range(1, n + 1)):
+        return False
+    return all(bracket(A, i, j) == 0 for i, j in combinations(range(1, n + 1), 2))
+
+
+def direction_gcd_by_fractions(A: MatrixTupleLR):
+    """The gcd of the direction forms built from the Fraction entries."""
+    return binary_form_gcd(direction_forms(A))
+
+
+def minors_left_by_fractions(A: LeftMatrix) -> tuple:
+    """Every maximal minor as the determinant of a Fraction submatrix."""
+    l, n = A.l, A.n
+    if n < l:
+        return ()
+    return tuple(RMatrix(l, l, [A.matrix.at(r, c) for r in range(l) for c in cols]).det()
+                 for cols in combinations(range(n), l))
 
 
 # -- eager Bareiss elimination -------------------------------------------------

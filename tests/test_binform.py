@@ -38,6 +38,26 @@ def test_gcd_all_zero_is_flagged():
     assert g.is_zero
 
 
+@pytest.mark.parametrize("forms", [
+    [form(4, -6, 2)],                        # one form: 2(u - v)(u - 2v)
+    [form(0, 0, 0), form(-3, 6, 0)],         # one nonzero form, root at infinity
+    [form(0, 6, 9), form(0, 2, 0)],          # common root [0:1]
+    [form(6, -5, 1), form(-4, 2)],           # shared u - 2v
+    [form(1, 0, 1), form(0, 0, 7)],          # coprime
+    [form(-7, 0, 0), form(3, 11, 0), form(5, 0, 0)],
+])
+def test_gcd_is_monic_and_ignores_scaling(forms):
+    g = binary_form_gcd(forms)
+    assert [c for c in g.coefficients if c != 0][-1] == 1
+    rng = Random(len(forms))
+    for _ in range(5):
+        scaled = [BinaryForm(f.degree, tuple(c * s for c in f.coefficients))
+                  for f in forms
+                  for s in [Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**9),
+                                     rng.randint(1, 10**6))]]
+        assert binary_form_gcd(scaled) == g
+
+
 def test_root_at_infinity():
     # both leading coefficients vanish: common root [1:0]
     g = binary_form_gcd([form(1, 2, 0), form(3, 5, 0)])

@@ -202,3 +202,20 @@ def test_builtin_jacobian_ranks_match_eager_bareiss(l, n):
             points += 1
             jac = jacobian(param, point)
             assert jac.rank() == bareiss_rank(jac)
+
+
+def test_gmul_sums_from_the_first_product(monkeypatch):
+    from matsep import DualScalar
+    from matsep.certify import _gmul
+
+    def no_int_operand(self, other):
+        raise AssertionError(f"{other!r} + dual")
+    monkeypatch.setattr(DualScalar, "__radd__", no_int_operand)
+    values = [[1, 2, 3], [4, 5, 6]]
+    x = [[DualScalar.variable(v, 3 * r + k, 6) for k, v in enumerate(row)]
+         for r, row in enumerate(values)]
+    y = [[Fraction(1, 2), 2], [3, Fraction(-4, 3)], [5, 7]]
+    product = _gmul(x, y)
+    assert [[e.value for e in row] for row in product] == [
+        [sum(v * y[k][c] for k, v in enumerate(row)) for c in range(2)] for row in values]
+    assert product[1][0].partials == (0, 0, 0, Fraction(1, 2), 3, 5)

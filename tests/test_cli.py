@@ -1,9 +1,11 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
+from matsep import parse_rational
 from matsep.cli import document_to_json, load_document, main
 
 
@@ -129,6 +131,24 @@ def test_exit_code_2_on_non_integer_size(tmp_path, key, value):
 def test_exit_code_2_on_zero_denominator(tmp_path):
     doc = {"kind": "lr-tuple", "n": 1, "matrices": [[["1/0", 1], [0, 1]]]}
     _assert_input_error(["invariants", write(tmp_path, "zero.json", doc)])
+
+
+@pytest.mark.parametrize("literal", ["1.5", "1e3", "1/-2", "1/0", "0x10", ""])
+def test_exit_code_2_on_non_rational_literal(tmp_path, literal):
+    doc = {"kind": "lr-tuple", "n": 1, "matrices": [[[literal, 1], [0, 1]]]}
+    _assert_input_error(["invariants", write(tmp_path, "literal.json", doc)])
+
+
+def test_rational_literals_with_signs_zeros_and_padding(tmp_path):
+    literals = {"+3/04": Fraction(3, 4), "-0/7": Fraction(0), " 12 ": Fraction(12),
+                "007": Fraction(7), "-6/0010": Fraction(-3, 5)}
+    for text, value in literals.items():
+        parsed = parse_rational(text)
+        assert parsed == value and type(parsed) is Fraction
+        assert (parsed.numerator, parsed.denominator) == (value.numerator, value.denominator)
+    doc = {"kind": "lr-tuple", "n": 1, "matrices": [[["+3/04", "-0/7"], [" 12 ", "007"]]]}
+    loaded = load_document(write(tmp_path, "literals.json", doc))
+    assert document_to_json(loaded)["matrices"] == [[["3/4", "0"], ["12", "7"]]]
 
 
 def test_exit_code_2_on_non_utf8_file(tmp_path):

@@ -6,7 +6,11 @@ recorded before the sparse dual numbers and integer row scaling landed
 kernel (`graph`, `stability`, `nullcone`, `invariants` on the fixture
 documents next to them), and before the integer dual numbers and the
 closed-form rational roots (`separate`, `phi`, `classify`, `curve` and
-two-sided `stability` with rational common directions), so ranks,
+two-sided `stability` with rational common directions), and before the
+two-sided blocks read one integer form per tuple (`invariants`,
+`stability` and `nullcone` on lr-tuples with fractional entries,
+`separate` on pairs first separated in each block, `classify` and
+`graph` on a conjugated non-upper pair), so ranks,
 minors, witness points, directions and verdicts are pinned, not
 re-derived.  Document commands run from tests/golden/,
 so the report echoes each document's bare file name.
@@ -54,6 +58,21 @@ DOCUMENT_CASES = [
     ("curve_left_l3_n6.txt", ["curve", "curve_left_l3_n6.json"]),
     ("stability_direction_n4.txt", ["stability", "direction_n4.json"]),
     ("stability_two_directions_n3.txt", ["stability", "two_directions_n3.json"]),
+    ("invariants_lr_fractional_n6.txt", ["invariants", "lr_fractional_n6.json"]),
+    ("invariants_lr_rank_one_n4.txt", ["invariants", "lr_rank_one_n4.json"]),
+    ("stability_lr_fractional_n6.txt", ["stability", "lr_fractional_n6.json"]),
+    ("stability_lr_rank_one_n4.txt", ["stability", "lr_rank_one_n4.json"]),
+    ("stability_lr_nullcone_fractional_n5.txt",
+     ["stability", "lr_nullcone_fractional_n5.json"]),
+    ("nullcone_lr_fractional_n6.txt", ["nullcone", "lr_fractional_n6.json"]),
+    ("nullcone_lr_rank_one_n4.txt", ["nullcone", "lr_rank_one_n4.json"]),
+    ("nullcone_lr_nullcone_fractional_n5.txt",
+     ["nullcone", "lr_nullcone_fractional_n5.json"]),
+    ("separate_lr_det_block_n5.txt", ["separate", "lr_det_block_n5.json"]),
+    ("separate_lr_bracket_block_n5.txt", ["separate", "lr_bracket_block_n5.json"]),
+    ("separate_lr_xi_block_n5.txt", ["separate", "lr_xi_block_n5.json"]),
+    ("classify_conjugated_n5.txt", ["classify", "lr_conjugated_n5.json"]),
+    ("graph_conjugated_n5.txt", ["graph", "lr_conjugated_n5.json"]),
 ]
 
 
@@ -74,3 +93,12 @@ def test_certify_report_matches_golden(name, argv):
 def test_document_report_matches_golden(name, argv, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     _assert_matches_golden(name, argv)
+
+
+def test_every_golden_report_is_referenced_and_present():
+    referenced = {name for name, _ in CASES + DOCUMENT_CASES}
+    on_disk = {p.name for p in GOLDEN.glob("*.txt")}
+    assert not on_disk - referenced, "golden reports no case checks"
+    assert not referenced - on_disk, "cases whose golden report is missing"
+    for _, argv in DOCUMENT_CASES:
+        assert (GOLDEN / argv[-1]).is_file(), argv
