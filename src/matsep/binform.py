@@ -79,6 +79,14 @@ def _dehomogenize(form: BinaryForm) -> List[Fraction]:
     return _strip(list(form.coefficients))
 
 
+def _vanishes_at(form: BinaryForm, u: int, v: int) -> bool:
+    """Whether q(u, v) = 0 at integers u, v, in integer arithmetic."""
+    cs, d = form.coefficients, form.degree
+    m = lcm(*[c.denominator for c in cs])
+    return not sum(c.numerator * (m // c.denominator) * u**i * v**(d - i)
+                   for i, c in enumerate(cs))
+
+
 def binary_form_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
     """Gcd of binary forms; positive degree iff a common complex root exists.
 
@@ -94,10 +102,15 @@ def binary_form_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
     # degree minus dehomogenised degree
     inf_mult = min(f.degree - (len(_dehomogenize(f)) - 1) for f in nonzero)
     g: List[Fraction] = _dehomogenize(nonzero[0])
-    for f in nonzero[1:]:
-        g = _poly_gcd(g, _dehomogenize(f))
-        if len(g) == 1 and inf_mult == 0:
-            break
+    k = 1
+    while k < len(nonzero) and len(g) > 2:
+        g = _poly_gcd(g, _dehomogenize(nonzero[k]))
+        k += 1
+    if len(g) == 2:
+        # one finite root left: each remaining form keeps it or kills it
+        root = -g[0] / g[1]
+        if not all(_vanishes_at(h, root.numerator, root.denominator) for h in nonzero[k:]):
+            g = [Fraction(1)]
     lead = g[-1]
     coeffs = [c / lead for c in g] + [Fraction(0)] * inf_mult
     return BinaryForm(len(coeffs) - 1, tuple(coeffs))

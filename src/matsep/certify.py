@@ -140,7 +140,7 @@ def _sl_chart_g(l: int, params) -> list:
         for c in range(l):
             if (r, c) == (l - 1, l - 1):
                 continue
-            grid[r][c] = (1 if r == c else 0) + params[idx]
+            grid[r][c] = params[idx] + 1 if r == c else params[idx]
             idx += 1
     minor = cofactor_det([row[:l - 1] for row in grid[:l - 1]])
     grid[l - 1][l - 1] = 0
@@ -172,6 +172,14 @@ def _gmul(A, B):
     inner = range(1, len(B))
     return [[sum((row[k] * B[k][c] for k in inner), row[0] * B[0][c])
              for c in range(len(B[0]))] for row in A]
+
+
+def _combination(coeffs, rows):
+    """The row sum of coeffs[r] * rows[r]; each entry sums from its first
+    product, not from 0."""
+    pairs = list(zip(coeffs[1:], rows[1:]))
+    return [sum((c * row[i] for c, row in pairs), coeffs[0] * rows[0][i])
+            for i in range(len(rows[0]))]
 
 
 def _adj2(M):
@@ -303,8 +311,7 @@ def _nullcone_rows(l: int, n: int, ps, offset: int):
     """Rank-deficient l x n block: free top rows, dependent last row."""
     rows = [list(ps[offset + r * n:offset + (r + 1) * n]) for r in range(l - 1)]
     coeffs = ps[offset + (l - 1) * n:offset + (l - 1) * n + (l - 1)]
-    last = [sum(coeffs[r] * rows[r][i] for r in range(l - 1)) for i in range(n)]
-    return rows + [last]
+    return rows + [_combination(coeffs, rows)]
 
 
 def _nullcone_left_param(l: int, n: int) -> Parameterization:
@@ -332,7 +339,7 @@ def _z_left_param(l: int, n: int) -> Parameterization:
         pos += (l - 1) * n
         alpha = ps[pos:pos + (l - 1)]
         pos += l - 1
-        a_last = [sum(alpha[r] * a_rows[r][i] for r in range(l - 1)) for i in range(n)]
+        a_last = _combination(alpha, a_rows)
         b_first = list(ps[pos:pos + n])
         pos += n
         span = a_rows + [b_first]
@@ -340,11 +347,10 @@ def _z_left_param(l: int, n: int) -> Parameterization:
         for _ in range(l - 2):
             coeffs = ps[pos:pos + l]
             pos += l
-            b_mid.append([sum(coeffs[r] * span[r][i] for r in range(l))
-                          for i in range(n)])
+            b_mid.append(_combination(coeffs, span))
         bs = [b_first] + b_mid
         coeffs = ps[pos:pos + (l - 1)]
-        b_last = [sum(coeffs[r] * bs[r][i] for r in range(l - 1)) for i in range(n)]
+        b_last = _combination(coeffs, bs)
         rows = a_rows + [a_last] + bs + [b_last]
         return [e for row in rows for e in row]
     return Parameterization("z-left", l * n + l * l - 2, 2 * l * n, evaluator)

@@ -1,13 +1,19 @@
-"""Exact Laurent polynomials in one parameter t, and matrices of them.
+"""Exact Laurent polynomials in one parameter t, matrices of them, and the
+term-map core they share with SparsePoly.
 
-Witness curves are represented with these so that "the limit at t -> 0
-exists" is a syntactic check (no negative exponents) and curve identities
-are literal equalities of coefficient maps.
+A polynomial maps exponents to nonzero Fractions, so equality is literal
+equality of term maps, and "the limit of a witness curve at t -> 0
+exists" is the absence of negative exponents.  A sum or product collects
+its terms in one dict and drops cancelled terms once at the end; a matrix
+product does so once per entry, skipping zero entries.  Results are
+wrapped unvalidated (``_wrap``); only the public constructors validate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from operator import add
 from typing import Dict, Iterable, Sequence
 
 from .errors import PreconditionError, ShapeError
@@ -15,19 +21,88 @@ from .matrix import RMatrix, cofactor_det
 from .rational import rat
 
 
-class LaurentPoly:
-    __slots__ = ("terms",)
+def _collect(acc: dict, terms) -> dict:
+    """Sum (exponent, coefficient) pairs into the term map acc; cancelled
+    terms are dropped once, at the end."""
+    get = acc.get
+    for e, c in terms:
+        s = get(e)
+        acc[e] = c if s is None else s + c
+    return {e: c for e, c in acc.items() if c}
 
-    def __init__(self, terms: Dict[int, Fraction]):
-        clean = {}
-        for e, c in terms.items():
-            c = rat(c)
-            if c != 0:
-                clean[int(e)] = c
-        object.__setattr__(self, "terms", clean)
+
+def _products(a: dict, b: dict, add_exp=add):
+    return ((add_exp(e1, e2), c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items())
+
+
+class TermPoly:
+    """Immutable polynomial stored as {exponent: nonzero Fraction}.
+
+    A subclass fixes how exponents add (``_add_exp``), turns scalars into
+    constants (``_coerce``) and wraps a trusted term map (``_wrap``).
+    """
+
+    __slots__ = ("terms",)
+    _add_exp = add
 
     def __setattr__(self, *_):
-        raise AttributeError("LaurentPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set_terms(self, pairs):
+        """Public constructors only: sum validated (exponent, coefficient)
+        pairs and drop zeros."""
+        object.__setattr__(self, "terms", _collect({}, pairs))
+
+    def _ring(self):
+        """What, besides the terms, two equal polynomials share."""
+        return None
+
+    def __add__(self, other):
+        return self._wrap(_collect(dict(self.terms), self._coerce(other).terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._wrap({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        negated = ((e, -c) for e, c in self._coerce(other).terms.items())
+        return self._wrap(_collect(dict(self.terms), negated))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return self._wrap(_collect({}, _products(self.terms, o.terms, self._add_exp)))
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = self._coerce(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._ring() == other._ring() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+class LaurentPoly(TermPoly):
+    __slots__ = ()
+
+    def __init__(self, terms: Dict[int, Fraction]):
+        self._set_terms((int(e), rat(c)) for e, c in terms.items())
+
+    @staticmethod
+    def _wrap(terms: Dict[int, Fraction]) -> "LaurentPoly":
+        p = object.__new__(LaurentPoly)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     @staticmethod
     def const(value) -> "LaurentPoly":
@@ -41,46 +116,6 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         return LaurentPoly.const(other)
-
-    def __add__(self, other) -> "LaurentPoly":
-        o = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return LaurentPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "LaurentPoly":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "LaurentPoly":
-        o = self._coerce(other)
-        out: Dict[int, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPoly(out)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def min_exp(self) -> int:
         return min(self.terms, default=0)
@@ -101,16 +136,6 @@ class LaurentPoly:
         for e, c in self.terms.items():
             total += c * t**e if e >= 0 else c / t**(-e)
         return total
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -149,14 +174,17 @@ class LaurentMatrix:
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise ShapeError("Laurent matrix product shape mismatch")
+        k, m = self.cols, other.cols
+        left = [p.terms for p in self.entries]
+        columns = [[p.terms for p in other.entries[c::m]] for c in range(m)]
         out = []
         for r in range(self.rows):
-            for c in range(other.cols):
-                acc = LaurentPoly({})
-                for k in range(self.cols):
-                    acc = acc + self.at(r, k) * other.at(k, c)
-                out.append(acc)
-        return LaurentMatrix(self.rows, other.cols, out)
+            row = left[r * k:(r + 1) * k]
+            for column in columns:
+                terms = chain.from_iterable(
+                    _products(a, b) for a, b in zip(row, column) if a and b)
+                out.append(LaurentPoly._wrap(_collect({}, terms)))
+        return LaurentMatrix(self.rows, m, out)
 
     def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.rows != other.rows or self.cols != other.cols:

@@ -9,32 +9,39 @@ if their expanded canonical forms coincide, no numerics involved.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, Sequence, Tuple
 
 from .errors import ShapeError
+from .laurent import TermPoly
 from .matrix import cofactor_det
 from .rational import rat
 
 Exponents = Tuple[int, ...]
 
 
-class SparsePoly:
-    __slots__ = ("variables", "terms")
+def _add_exponents(e1: Exponents, e2: Exponents) -> Exponents:
+    return tuple(map(add, e1, e2))
+
+
+class SparsePoly(TermPoly):
+    __slots__ = ("variables",)
+    _add_exp = staticmethod(_add_exponents)
 
     def __init__(self, variables: Sequence[str], terms: Dict[Exponents, Fraction]):
         object.__setattr__(self, "variables", tuple(variables))
-        clean = {}
-        nv = len(self.variables)
-        for exps, coeff in terms.items():
-            if len(exps) != nv:
-                raise ShapeError("exponent vector length mismatch")
-            c = rat(coeff)
-            if c != 0:
-                clean[tuple(exps)] = c
-        object.__setattr__(self, "terms", clean)
+        if any(len(exps) != len(self.variables) for exps in terms):
+            raise ShapeError("exponent vector length mismatch")
+        self._set_terms((tuple(e), rat(c)) for e, c in terms.items())
 
-    def __setattr__(self, *_):
-        raise AttributeError("SparsePoly is immutable")
+    def _wrap(self, terms: Dict[Exponents, Fraction]) -> "SparsePoly":
+        p = object.__new__(SparsePoly)
+        object.__setattr__(p, "variables", self.variables)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    def _ring(self):
+        return self.variables
 
     # -- construction ---------------------------------------------------
 
@@ -62,43 +69,6 @@ class SparsePoly:
             return other
         return SparsePoly.const(self.variables, other)
 
-    def __add__(self, other) -> "SparsePoly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return SparsePoly(self.variables, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "SparsePoly":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "SparsePoly":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "SparsePoly":
-        other = self._coerce(other)
-        out: Dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return SparsePoly(self.variables, out)
-
-    __rmul__ = __mul__
-
     def __pow__(self, k: int) -> "SparsePoly":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
@@ -113,9 +83,6 @@ class SparsePoly:
 
     # -- queries ------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def sorted_terms(self) -> list:
         """Terms in graded lexicographic order (the canonical ordering)."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
@@ -127,21 +94,15 @@ class SparsePoly:
         exponent zero in the result.
         """
         idx = {self.variables.index(v): e for v, e in assignment.items()}
-        out: Dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
-            if all(exps[i] == e for i, e in idx.items()):
-                reduced = tuple(0 if i in idx else x for i, x in enumerate(exps))
-                out[reduced] = out.get(reduced, Fraction(0)) + c
-        return SparsePoly(self.variables, out)
+        # distinct terms keep distinct exponents here, so nothing collects
+        return self._wrap({tuple(0 if i in idx else x for i, x in enumerate(exps)): c
+                           for exps, c in self.terms.items()
+                           if all(exps[i] == e for i, e in idx.items())})
 
     def derivative(self, name: str) -> "SparsePoly":
         i = self.variables.index(name)
-        out: Dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
-            if exps[i] > 0:
-                e = tuple(x - int(j == i) for j, x in enumerate(exps))
-                out[e] = out.get(e, Fraction(0)) + c * exps[i]
-        return SparsePoly(self.variables, out)
+        return self._wrap({tuple(x - int(j == i) for j, x in enumerate(exps)): c * exps[i]
+                           for exps, c in self.terms.items() if exps[i] > 0})
 
     def evaluate(self, values: Dict[str, object]):
         """Evaluate with any scalars supporting ring arithmetic.
@@ -158,17 +119,6 @@ class SparsePoly:
                     term = term * v
             acc = term if acc is None else acc + term
         return acc if acc is not None else Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparsePoly):
-            if isinstance(other, (int, Fraction)):
-                other = SparsePoly.const(self.variables, other)
-            else:
-                return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
 
     def __repr__(self):
         if self.is_zero():

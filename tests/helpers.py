@@ -7,9 +7,11 @@ common roots through resultants, rational roots through the rational
 root theorem, the det and pairing blocks, nullcone membership, the
 direction gcd and the maximal minors through Fraction loops over the
 single-value functions, derivatives through symbolic differentiation,
-Jacobians through dense and through sparse Fraction dual numbers, and
-ranks and determinants through eager Bareiss elimination, so agreement
-is evidence rather than tautology.
+Jacobians through dense and through sparse Fraction dual numbers,
+ranks and determinants through eager Bareiss elimination, Laurent
+arithmetic through one re-validated polynomial per addition, and the
+gcd of binary forms through Euclid on every form, so agreement is
+evidence rather than tautology.
 """
 
 from fractions import Fraction
@@ -17,9 +19,10 @@ from itertools import combinations
 from math import gcd
 from random import Random
 
-from matsep import (LeftMatrix, MatrixTupleLR, RMatrix, ShapeError, SparsePoly,
-                    GroupElementL, GroupElementLR, binary_form_gcd, bracket,
-                    det_inv, poly_expand_det)
+from matsep import (BinaryForm, LeftMatrix, MatrixTupleLR, RMatrix, ShapeError,
+                    SparsePoly, GroupElementL, GroupElementLR, binary_form_gcd,
+                    bracket, det_inv, poly_expand_det, rat)
+from matsep.binform import _dehomogenize, _poly_gcd
 from matsep.geometry_lr import direction_forms
 
 
@@ -489,3 +492,108 @@ def bareiss_det(matrix: RMatrix) -> Fraction:
             m[r][k] = 0
         prev = p
     return sign * m[n - 1][n - 1] / scale
+
+
+# -- Laurent arithmetic, one polynomial per addition ---------------------------
+
+
+class LaurentPolyByAdditions:
+    """Laurent polynomial whose every sum, difference and product is a new
+    polynomial built through the validating constructor, as `LaurentPoly`
+    computed before it shared one term-map core with `SparsePoly`."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        clean = {}
+        for e, c in terms.items():
+            c = rat(c)
+            if c != 0:
+                clean[int(e)] = c
+        self.terms = clean
+
+    def _coerce(self, other):
+        if isinstance(other, LaurentPolyByAdditions):
+            return other
+        return LaurentPolyByAdditions({0: rat(other)})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in self._coerce(other).terms.items():
+            s = out.get(e, Fraction(0)) + c
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+        return LaurentPolyByAdditions(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LaurentPolyByAdditions({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in o.terms.items():
+                e = e1 + e2
+                s = out.get(e, Fraction(0)) + c1 * c2
+                if s == 0:
+                    out.pop(e, None)
+                else:
+                    out[e] = s
+        return LaurentPolyByAdditions(out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._coerce(other)
+        if not isinstance(other, LaurentPolyByAdditions):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+def laurent_matmul_by_additions(a, b):
+    """Product of two grids of LaurentPolyByAdditions, one new polynomial
+    per accumulation step."""
+    out = []
+    for row in a:
+        out_row = []
+        for c in range(len(b[0])):
+            acc = LaurentPolyByAdditions({})
+            for k in range(len(b)):
+                acc = acc + row[k] * b[k][c]
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+# -- binary forms -----------------------------------------------------------------
+
+
+def binary_form_gcd_by_euclid(forms) -> BinaryForm:
+    """Gcd of binary forms by a Fraction Euclid step against every form,
+    also once the running gcd is linear."""
+    nonzero = [f for f in forms if not f.is_zero]
+    if not nonzero:
+        return BinaryForm.zero()
+    inf_mult = min(f.degree - (len(_dehomogenize(f)) - 1) for f in nonzero)
+    g = _dehomogenize(nonzero[0])
+    for f in nonzero[1:]:
+        g = _poly_gcd(g, _dehomogenize(f))
+        if len(g) == 1 and inf_mult == 0:
+            break
+    lead = g[-1]
+    coeffs = [c / lead for c in g] + [Fraction(0)] * inf_mult
+    return BinaryForm(len(coeffs) - 1, tuple(coeffs))

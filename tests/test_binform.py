@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matsep import BinaryForm, binary_form_gcd, rational_projective_roots
-from helpers import rational_roots_by_trial_division, sylvester_resultant_quadratics
+from helpers import (binary_form_gcd_by_euclid, rational_roots_by_trial_division,
+                     sylvester_resultant_quadratics)
 
 
 def form(*coeffs):
@@ -162,7 +163,7 @@ def _small_end_forms(draw):
     return [Fraction(c, den) for c in coeffs]
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(_small_end_forms())
 def test_roots_match_trial_division_oracle(coeffs):
     f = BinaryForm(len(coeffs) - 1, tuple(coeffs))
@@ -170,3 +171,65 @@ def test_roots_match_trial_division_oracle(coeffs):
         assert rational_projective_roots(f) is None
         return
     assert _finite_roots(f) == rational_roots_by_trial_division(coeffs)
+
+
+# -- the root test once the running gcd is linear, against Euclid -----------------
+
+
+def times(*factors):
+    """Product of forms given as coefficient tuples (index = power of u)."""
+    out = (Fraction(1),)
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = tuple(prod)
+    return BinaryForm(len(out) - 1, out)
+
+
+U_MINUS_2V, U_PLUS_V, U_MINUS_5V, V = (-2, 1), (1, 1), (-5, 1), (1, 0)
+
+
+@pytest.mark.parametrize("forms,degree", [
+    # shared u - 2v until the last form, which kills the root
+    ([times(U_MINUS_2V, U_PLUS_V), times(U_MINUS_2V, U_MINUS_5V),
+      times(U_MINUS_2V, (3, 7)), times(U_MINUS_5V, U_MINUS_5V)], 0),
+    # every form keeps the root of u - 2v, with fractional coefficients
+    ([times(U_MINUS_2V, U_PLUS_V), times(U_MINUS_2V, (Fraction(1, 3), 7)),
+      times((Fraction(-2, 9), Fraction(1, 9)), U_MINUS_5V)], 1),
+    # root at infinity (every form divisible by v) plus a shared finite root
+    ([times(V, U_MINUS_2V), times(V, (4, -2)), times(V, V, U_MINUS_2V)], 2),
+    # root at infinity survives when a late form kills the finite root
+    ([times(V, U_MINUS_2V), times(V, U_MINUS_2V), times(V, U_PLUS_V)], 1),
+    # all forms proportional: the gcd is the monic form itself
+    ([times(U_MINUS_2V, U_PLUS_V), times((Fraction(-3, 2), 0), U_MINUS_2V, U_PLUS_V),
+      times((5, 0), U_MINUS_2V, U_PLUS_V)], 2),
+    ([times(V, U_MINUS_2V), times((-7, 0), V, U_MINUS_2V)], 2),
+    # the first form is linear after dehomogenising; a constant form follows
+    ([times(U_MINUS_2V), BinaryForm(0, (Fraction(3),))], 0),
+    ([times(U_MINUS_2V), times(V, V, U_MINUS_2V), BinaryForm.zero()], 1),
+])
+def test_gcd_matches_euclid_oracle(forms, degree):
+    g = binary_form_gcd(forms)
+    assert g == binary_form_gcd_by_euclid(forms)
+    assert g.degree == degree
+
+
+@st.composite
+def _families(draw):
+    """Forms of degree at most three built from a few shared factors, so
+    that common finite roots and roots at infinity both come up."""
+    linear = st.sampled_from((U_MINUS_2V, U_PLUS_V, U_MINUS_5V, V, (3, -2), (0, 1)))
+    scale = st.sampled_from((1, -1, Fraction(2, 3), 7))
+    forms = []
+    for _ in range(draw(st.integers(1, 6))):
+        factors = draw(st.lists(linear, min_size=1, max_size=3))
+        forms.append(times((draw(scale),), *factors))
+    return forms
+
+
+@settings(max_examples=150)
+@given(_families())
+def test_gcd_families_match_euclid_oracle(forms):
+    assert binary_form_gcd(forms) == binary_form_gcd_by_euclid(forms)

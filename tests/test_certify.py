@@ -219,3 +219,21 @@ def test_gmul_sums_from_the_first_product(monkeypatch):
     assert [[e.value for e in row] for row in product] == [
         [sum(v * y[k][c] for k, v in enumerate(row)) for c in range(2)] for row in values]
     assert product[1][0].partials == (0, 0, 0, Fraction(1, 2), 3, 5)
+
+
+@pytest.mark.parametrize("l,n", [(2, 3), (3, 5), (4, 6)])
+def test_left_evaluators_never_add_a_dual_to_int_zero(monkeypatch, l, n):
+    from matsep import DualScalar
+    add = DualScalar.__add__
+
+    def checked_add(self, other):
+        if type(other) is int and other == 0:
+            raise AssertionError("dual added to int 0")
+        return add(self, other)
+    monkeypatch.setattr(DualScalar, "__add__", checked_add)
+    monkeypatch.setattr(DualScalar, "__radd__", checked_add)
+    rng = Random(l * 100 + n)
+    for row in builtin_claims(n, l):
+        param = builtin_parameterization(row.name, n, l)
+        point = [Fraction(rng.randint(2, 9)) for _ in range(param.param_count)]
+        assert jacobian(param, point).rank() <= row.claimed

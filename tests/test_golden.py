@@ -10,7 +10,11 @@ two-sided `stability` with rational common directions), and before the
 two-sided blocks read one integer form per tuple (`invariants`,
 `stability` and `nullcone` on lr-tuples with fractional entries,
 `separate` on pairs first separated in each block, `classify` and
-`graph` on a conjugated non-upper pair), so ranks,
+`graph` on a conjugated non-upper pair), and before Laurent products
+accumulated each entry in one term map (`curve` for l = 2 and for each
+l = 3 branch: second side collapsed, also with a zero second side that
+takes the row swap, first side collapsed, and both top spans
+two-dimensional, once as text), so ranks,
 minors, witness points, directions and verdicts are pinned, not
 re-derived.  Document commands run from tests/golden/,
 so the report echoes each document's bare file name.
@@ -73,6 +77,14 @@ DOCUMENT_CASES = [
     ("separate_lr_xi_block_n5.txt", ["separate", "lr_xi_block_n5.json"]),
     ("classify_conjugated_n5.txt", ["classify", "lr_conjugated_n5.json"]),
     ("graph_conjugated_n5.txt", ["graph", "lr_conjugated_n5.json"]),
+    ("curve_left_l2_n4.txt", ["curve", "curve_left_l2_n4.json"]),
+    ("curve_left_l3_second_n5.txt", ["curve", "curve_left_l3_second_n5.json"]),
+    ("curve_left_l3_zero_second_n5.txt",
+     ["curve", "curve_left_l3_zero_second_n5.json"]),
+    ("curve_left_l3_first_n5.txt", ["curve", "curve_left_l3_first_n5.json"]),
+    ("curve_left_l3_generic_n5.txt", ["curve", "curve_left_l3_generic_n5.json"]),
+    ("curve_left_l3_generic_n5_text.txt",
+     ["curve", "curve_left_l3_generic_n5.json", "--format", "text"]),
 ]
 
 
@@ -101,4 +113,4 @@ def test_every_golden_report_is_referenced_and_present():
     assert not on_disk - referenced, "golden reports no case checks"
     assert not referenced - on_disk, "cases whose golden report is missing"
     for _, argv in DOCUMENT_CASES:
-        assert (GOLDEN / argv[-1]).is_file(), argv
+        assert (GOLDEN / argv[1]).is_file(), argv

@@ -53,7 +53,7 @@ def tuples(draw):
     return MatrixTupleLR(tuple(mats))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(tuples())
 def test_blocks_nullcone_and_direction_gcd_match_fraction_oracles(A):
     gv = generators_lr(A)
@@ -65,7 +65,7 @@ def test_blocks_nullcone_and_direction_gcd_match_fraction_oracles(A):
     assert _direction_gcd(A) == direction_gcd_by_fractions(A)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(tuples())
 def test_integer_form_is_scaled_entries(A):
     ints, scale = A.integer_form
@@ -87,7 +87,7 @@ def left_matrices(draw):
     return LeftMatrix(RMatrix(l, n, entries))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(left_matrices())
 def test_minors_left_match_fraction_submatrix_dets(A):
     assert minors_left(A) == minors_left_by_fractions(A)

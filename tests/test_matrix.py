@@ -305,7 +305,7 @@ def _sparse_integer_matrices(draw):
     return RMatrix(rows, cols, ents)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(_sparse_integer_matrices())
 def test_kernel_property_against_oracles(m):
     assert m.rank() == bareiss_rank(m)

@@ -40,6 +40,15 @@ def test_equality_is_syntactic_on_canonical_form():
     assert SparsePoly.const(VS, Fraction(1, 2)) * 2 == 1
 
 
+def test_variable_lists_are_part_of_equality():
+    other = SparsePoly.var(("x", "z"), "x")
+    assert _x().terms == other.terms
+    assert _x() != other
+    assert SparsePoly.zero(VS) != SparsePoly.zero(("x",))
+    with pytest.raises(ShapeError):
+        _x() + other
+
+
 def test_expand_det_examples():
     x, y = _x(), _y()
     zero = SparsePoly.zero(VS)
