@@ -14,6 +14,10 @@ and recorded witness point.  The evaluators run on integer dual numbers:
 each output is integer numerators over one shared denominator, whose
 partial numerators are the Jacobian row that the Bareiss rank reads,
 with no Fraction arithmetic and no rounding or modular shortcut.
+
+Each builtin claim is one row of `_LR_CLAIMS` or `_LEFT_CLAIMS`: its name,
+claimed dimension, description and parameterization factory, each called
+with the family's sizes ((n,) or (l, n)), the factory after the name.
 """
 
 from __future__ import annotations
@@ -21,11 +25,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .dual import jacobian_of
 from .errors import CertificationError, ChartSingularityError, PreconditionError
-from .matrix import RMatrix, cofactor_det
+from .matrix import RMatrix, cofactor_det, grid_product as _gmul
 from .rational import rat
 from .sparsepoly import SparsePoly, poly_expand_det
 
@@ -127,6 +133,17 @@ def _sl2_chart_g(params) -> list:
             [gamma, (1 + beta * gamma) / top_left]]
 
 
+def _sl_chart_grid(l: int, params) -> tuple:
+    """The l x l grid of identity plus the l*l - 1 free parameters in
+    row-major order, bottom-right left unset, and its leading principal
+    (l-1)-minor."""
+    grid = [[None] * l for _ in range(l)]
+    for idx in range(l * l - 1):
+        r, c = divmod(idx, l)
+        grid[r][c] = params[idx] + 1 if r == c else params[idx]
+    return grid, cofactor_det([row[:l - 1] for row in grid[:l - 1]])
+
+
 def _sl_chart_g(l: int, params) -> list:
     """l x l determinant-one chart around the identity.
 
@@ -134,15 +151,7 @@ def _sl_chart_g(l: int, params) -> list:
     parameter; the bottom-right is solved from the determinant, which is
     legitimate while the leading principal (l-1)-minor is nonzero.
     """
-    grid = [[None] * l for _ in range(l)]
-    idx = 0
-    for r in range(l):
-        for c in range(l):
-            if (r, c) == (l - 1, l - 1):
-                continue
-            grid[r][c] = params[idx] + 1 if r == c else params[idx]
-            idx += 1
-    minor = cofactor_det([row[:l - 1] for row in grid[:l - 1]])
+    grid, minor = _sl_chart_grid(l, params)
     grid[l - 1][l - 1] = 0
     rest = cofactor_det(grid)
     grid[l - 1][l - 1] = (1 - rest) / minor
@@ -151,35 +160,12 @@ def _sl_chart_g(l: int, params) -> list:
 
 def _sl_chart_guard(l: int, offset: int) -> Callable[[Sequence], Fraction]:
     def guard(point: Sequence) -> Fraction:
-        params = [rat(p) for p in point[offset:offset + l * l - 1]]
-        grid = [[Fraction(int(r == c)) for c in range(l)] for r in range(l)]
-        idx = 0
-        for r in range(l):
-            for c in range(l):
-                if (r, c) == (l - 1, l - 1):
-                    continue
-                grid[r][c] += params[idx]
-                idx += 1
-        return RMatrix.from_rows([row[:l - 1] for row in grid[:l - 1]]).det()
+        return _sl_chart_grid(l, [rat(p) for p in point[offset:offset + l * l - 1]])[1]
     return guard
 
 
 # -- generic small-matrix arithmetic (works on rationals and duals) ----------
-
-
-def _gmul(A, B):
-    """Matrix product; each sum starts from its first product, not from 0."""
-    inner = range(1, len(B))
-    return [[sum((row[k] * B[k][c] for k in inner), row[0] * B[0][c])
-             for c in range(len(B[0]))] for row in A]
-
-
-def _combination(coeffs, rows):
-    """The row sum of coeffs[r] * rows[r]; each entry sums from its first
-    product, not from 0."""
-    pairs = list(zip(coeffs[1:], rows[1:]))
-    return [sum((c * row[i] for c, row in pairs), coeffs[0] * rows[0][i])
-            for i in range(len(rows[0]))]
+# _gmul sums from the first product; _gmul([coeffs], rows)[0] is coeffs . rows
 
 
 def _adj2(M):
@@ -203,21 +189,18 @@ def _chart_guards_at(offsets: Sequence[int]) -> Tuple[Callable, ...]:
     return tuple((lambda pt, o=o: 1 + rat(pt[o])) for o in offsets)
 
 
-def _saturate(pairs_eval, n: int, base_count: int):
+def _saturate(pairs_eval, base_count: int):
     """Wrap a pair evaluator with four determinant-one chart factors."""
+    offsets = range(base_count, base_count + 12, 3)
+
     def evaluator(ps):
         first, second = pairs_eval(ps)
-        g1 = _sl2_chart_g(ps[base_count:base_count + 3])
-        g2 = _sl2_chart_g(ps[base_count + 3:base_count + 6])
-        h1 = _sl2_chart_g(ps[base_count + 6:base_count + 9])
-        h2 = _sl2_chart_g(ps[base_count + 9:base_count + 12])
+        g1, g2, h1, h2 = (_sl2_chart_g(ps[o:o + 3]) for o in offsets)
         return _flatten_mats(_act2(g1, g2, first)) + _flatten_mats(_act2(h1, h2, second))
-    guards = _chart_guards_at([base_count, base_count + 3,
-                               base_count + 6, base_count + 9])
-    return evaluator, guards
+    return evaluator, _chart_guards_at(offsets)
 
 
-def _gamma_pair(n: int):
+def _gamma_pair(name: str, n: int) -> Parameterization:
     """(A, g.A) with A free and g a pair of determinant-one charts."""
     def evaluator(ps):
         mats = [[[ps[4 * i], ps[4 * i + 1]], [ps[4 * i + 2], ps[4 * i + 3]]]
@@ -226,7 +209,7 @@ def _gamma_pair(n: int):
         g2 = _sl2_chart_g(ps[4 * n + 3:4 * n + 6])
         return _flatten_mats(mats) + _flatten_mats(_act2(g1, g2, mats))
     return Parameterization(
-        name="gamma", param_count=4 * n + 6, output_count=8 * n,
+        name=name, param_count=4 * n + 6, output_count=8 * n,
         evaluator=evaluator, chart_guards=_chart_guards_at([4 * n, 4 * n + 3]))
 
 
@@ -260,10 +243,7 @@ def _span_cr_pair_eval(n: int):
         u = [ps[0:n], ps[n:2 * n], ps[2 * n:3 * n]]
         c = ps[3 * n:3 * n + 12]
         lam = ps[3 * n + 12]
-        def combo(o):
-            return [c[o] * u[0][i] + c[o + 1] * u[1][i] + c[o + 2] * u[2][i]
-                    for i in range(n)]
-        a, b, b2, d2 = combo(0), combo(3), combo(6), combo(9)
+        a, b, b2, d2 = (_gmul([c[o:o + 3]], u)[0] for o in (0, 3, 6, 9))
         first = [[[a[i], b[i]], [0, lam * d2[i]]] for i in range(n)]
         second = [[[lam * a[i], b2[i]], [0, d2[i]]] for i in range(n)]
         return first, second
@@ -281,10 +261,10 @@ def _cr_cc_pair_eval(n: int):
     return pairs, 3 * n + 2
 
 
-def _pair_param(name: str, n: int, pair_eval_factory, saturated: bool) -> Parameterization:
+def _pair_param(pair_eval_factory, name: str, n: int, saturated: bool) -> Parameterization:
     pairs, base = pair_eval_factory(n)
     if saturated:
-        evaluator, guards = _saturate(pairs, n, base)
+        evaluator, guards = _saturate(pairs, base)
         return Parameterization(name, base + 12, 8 * n, evaluator, guards)
 
     def evaluator(ps):
@@ -296,14 +276,13 @@ def _pair_param(name: str, n: int, pair_eval_factory, saturated: bool) -> Parame
 # -- builtin parameterizations for the left family ---------------------------
 
 
-def _gamma_left_param(l: int, n: int) -> Parameterization:
+def _gamma_left_param(name: str, l: int, n: int) -> Parameterization:
     def evaluator(ps):
         rows = [list(ps[r * n:(r + 1) * n]) for r in range(l)]
         g = _sl_chart_g(l, ps[l * n:l * n + l * l - 1])
-        moved = _gmul(g, rows)
-        return [e for row in rows for e in row] + [e for row in moved for e in row]
+        return _flatten_mats([rows, _gmul(g, rows)])
     return Parameterization(
-        name="gamma-left", param_count=l * n + l * l - 1, output_count=2 * l * n,
+        name=name, param_count=l * n + l * l - 1, output_count=2 * l * n,
         evaluator=evaluator, chart_guards=(_sl_chart_guard(l, l * n),))
 
 
@@ -311,74 +290,77 @@ def _nullcone_rows(l: int, n: int, ps, offset: int):
     """Rank-deficient l x n block: free top rows, dependent last row."""
     rows = [list(ps[offset + r * n:offset + (r + 1) * n]) for r in range(l - 1)]
     coeffs = ps[offset + (l - 1) * n:offset + (l - 1) * n + (l - 1)]
-    return rows + [_combination(coeffs, rows)]
+    return rows + _gmul([coeffs], rows)
 
 
-def _nullcone_left_param(l: int, n: int) -> Parameterization:
+def _nullcone_left_param(name: str, l: int, n: int) -> Parameterization:
     def evaluator(ps):
-        return [e for row in _nullcone_rows(l, n, ps, 0) for e in row]
-    return Parameterization("nullcone-left", (l - 1) * (n + 1), l * n, evaluator)
+        return _flatten_mats([_nullcone_rows(l, n, ps, 0)])
+    return Parameterization(name, (l - 1) * (n + 1), l * n, evaluator)
 
 
-def _nullcone_pair_left_param(l: int, n: int) -> Parameterization:
+def _nullcone_pair_left_param(name: str, l: int, n: int) -> Parameterization:
     half = (l - 1) * (n + 1)
 
     def evaluator(ps):
-        first = _nullcone_rows(l, n, ps, 0)
-        second = _nullcone_rows(l, n, ps, half)
-        return [e for row in first for e in row] + [e for row in second for e in row]
-    return Parameterization("nullcone-pair-left", 2 * half, 2 * l * n, evaluator)
+        return _flatten_mats([_nullcone_rows(l, n, ps, 0), _nullcone_rows(l, n, ps, half)])
+    return Parameterization(name, 2 * half, 2 * l * n, evaluator)
 
 
-def _z_left_param(l: int, n: int) -> Parameterization:
+def _z_left_param(name: str, l: int, n: int) -> Parameterization:
     """Stacked 2l x n matrices with both row blocks rank-deficient and a
     common span of dimension at most l."""
     def evaluator(ps):
-        pos = 0
-        a_rows = [list(ps[pos + r * n:pos + (r + 1) * n]) for r in range(l - 1)]
-        pos += (l - 1) * n
-        alpha = ps[pos:pos + (l - 1)]
-        pos += l - 1
-        a_last = _combination(alpha, a_rows)
-        b_first = list(ps[pos:pos + n])
-        pos += n
-        span = a_rows + [b_first]
-        b_mid = []
-        for _ in range(l - 2):
-            coeffs = ps[pos:pos + l]
-            pos += l
-            b_mid.append(_combination(coeffs, span))
-        bs = [b_first] + b_mid
-        coeffs = ps[pos:pos + (l - 1)]
-        b_last = _combination(coeffs, bs)
-        rows = a_rows + [a_last] + bs + [b_last]
-        return [e for row in rows for e in row]
-    return Parameterization("z-left", l * n + l * l - 2, 2 * l * n, evaluator)
+        params = iter(ps)
+
+        def take(k):
+            return list(islice(params, k))
+        a_rows = [take(n) for _ in range(l - 1)]
+        a_last = _gmul([take(l - 1)], a_rows)
+        span = a_rows + [take(n)]
+        bs = span[-1:] + [_gmul([take(l)], span)[0] for _ in range(l - 2)]
+        bs += _gmul([take(l - 1)], bs)
+        return _flatten_mats([a_rows, a_last, bs])
+    return Parameterization(name, l * n + l * l - 2, 2 * l * n, evaluator)
 
 
 # -- claim tables -------------------------------------------------------------
 
 
 _LR_CLAIMS = (
-    ("gamma", lambda n: 4 * n + 6, "graph closure of the two-sided action"),
-    ("sat-cr", lambda n: 4 * n + 5, "saturation of the row-pattern component"),
-    ("sat-cc", lambda n: 4 * n + 5, "saturation of the column-pattern component"),
+    ("gamma", lambda n: 4 * n + 6, "graph closure of the two-sided action", _gamma_pair),
+    ("sat-cr", lambda n: 4 * n + 5, "saturation of the row-pattern component",
+     partial(_pair_param, _cr_pair_eval, saturated=True)),
+    ("sat-cc", lambda n: 4 * n + 5, "saturation of the column-pattern component",
+     partial(_pair_param, _cc_pair_eval, saturated=True)),
     ("gamma-sat-cr", lambda n: 3 * n + 8,
-     "intersection of the graph closure with the saturated row pattern"),
-    ("sat-cr-cc", lambda n: 3 * n + 6, "saturation of the double-pattern locus"),
+     "intersection of the graph closure with the saturated row pattern",
+     partial(_pair_param, _span_cr_pair_eval, saturated=True)),
+    ("sat-cr-cc", lambda n: 3 * n + 6, "saturation of the double-pattern locus",
+     partial(_pair_param, _cr_cc_pair_eval, saturated=True)),
     ("gamma-cr", lambda n: 3 * n + 4,
-     "row-pattern pairs inside the graph closure (spanning rank <= 3)"),
-    ("cr-cc", lambda n: 3 * n + 2, "pairs satisfying both patterns"),
+     "row-pattern pairs inside the graph closure (spanning rank <= 3)",
+     partial(_pair_param, _span_cr_pair_eval, saturated=False)),
+    ("cr-cc", lambda n: 3 * n + 2, "pairs satisfying both patterns",
+     partial(_pair_param, _cr_cc_pair_eval, saturated=False)),
 )
 
 _LEFT_CLAIMS = (
-    ("gamma-left", lambda l, n: l * n + l * l - 1, "graph closure of the left action"),
-    ("nullcone-left", lambda l, n: (l - 1) * (n + 1), "left-action nullcone"),
+    ("gamma-left", lambda l, n: l * n + l * l - 1, "graph closure of the left action",
+     _gamma_left_param),
+    ("nullcone-left", lambda l, n: (l - 1) * (n + 1), "left-action nullcone",
+     _nullcone_left_param),
     ("nullcone-pair-left", lambda l, n: 2 * (l - 1) * (n + 1),
-     "pairs of left-action nullcone points"),
+     "pairs of left-action nullcone points", _nullcone_pair_left_param),
     ("z-left", lambda l, n: l * n + l * l - 2,
-     "stacked matrices with both blocks rank-deficient and joint rank <= l"),
+     "stacked matrices with both blocks rank-deficient and joint rank <= l",
+     _z_left_param),
 )
+
+
+def _family(n: Optional[int], l: Optional[int]) -> tuple:
+    """The claim rows of the selected family and the sizes its rows take."""
+    return (_LR_CLAIMS, (n,)) if l is None else (_LEFT_CLAIMS, (l, n))
 
 
 def builtin_claims(n: Optional[int] = None, l: Optional[int] = None) -> List[ClaimRow]:
@@ -390,47 +372,25 @@ def builtin_claims(n: Optional[int] = None, l: Optional[int] = None) -> List[Cla
     if l is None:
         if n is None or n < 4:
             raise PreconditionError("2x2 family claims need n >= 4")
-        return [ClaimRow(name, dim(n), f"{desc}, n = {n}")
-                for name, dim, desc in _LR_CLAIMS]
-    if l < 2:
+    elif l < 2:
         raise PreconditionError("left family needs l >= 2")
-    if n is None or n < l:
+    elif n is None or n < l:
         raise PreconditionError("left family needs n >= l")
-    return [ClaimRow(name, dim(l, n), f"{desc}, l = {l}, n = {n}")
-            for name, dim, desc in _LEFT_CLAIMS]
+    rows, sizes = _family(n, l)
+    where = f"n = {n}" if l is None else f"l = {l}, n = {n}"
+    return [ClaimRow(name, dim(*sizes), f"{desc}, {where}") for name, dim, desc, _ in rows]
 
 
 def builtin_parameterization(name: str, n: Optional[int] = None,
                              l: Optional[int] = None) -> Parameterization:
-    if l is None:
-        if n is None:
-            raise PreconditionError("n is required")
-        if name == "gamma":
-            return _gamma_pair(n)
-        if name == "sat-cr":
-            return _pair_param(name, n, _cr_pair_eval, saturated=True)
-        if name == "sat-cc":
-            return _pair_param(name, n, _cc_pair_eval, saturated=True)
-        if name == "gamma-sat-cr":
-            return _pair_param(name, n, _span_cr_pair_eval, saturated=True)
-        if name == "sat-cr-cc":
-            return _pair_param(name, n, _cr_cc_pair_eval, saturated=True)
-        if name == "gamma-cr":
-            return _pair_param(name, n, _span_cr_pair_eval, saturated=False)
-        if name == "cr-cc":
-            return _pair_param(name, n, _cr_cc_pair_eval, saturated=False)
-        raise PreconditionError(f"unknown 2x2 family claim {name!r}")
     if n is None:
         raise PreconditionError("n is required")
-    if name == "gamma-left":
-        return _gamma_left_param(l, n)
-    if name == "nullcone-left":
-        return _nullcone_left_param(l, n)
-    if name == "nullcone-pair-left":
-        return _nullcone_pair_left_param(l, n)
-    if name == "z-left":
-        return _z_left_param(l, n)
-    raise PreconditionError(f"unknown left family claim {name!r}")
+    rows, sizes = _family(n, l)
+    for row_name, _, _, build in rows:
+        if row_name == name:
+            return build(name, *sizes)
+    family = "2x2" if l is None else "left"
+    raise PreconditionError(f"unknown {family} family claim {name!r}")
 
 
 def certify_builtin(n: Optional[int] = None, l: Optional[int] = None,

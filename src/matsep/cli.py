@@ -5,6 +5,9 @@ or "p/q" strings, never decimals), runs the requested decision procedure
 and writes a deterministic report: identical inputs, flags and seed give
 byte-identical output.  Exit codes: 0 success, 2 input error, 3
 precondition violation, 4 certification failure.
+
+`_KINDS` declares each document kind once and `_COMMANDS` each
+subcommand once; the parser, the loader and the dispatch read them.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from math import comb
+from typing import NamedTuple
 
 from . import __version__
 from .certify import CERTIFIED, certify_builtin, verify_bracket_identity, verify_xi_identity
@@ -36,9 +41,7 @@ from .separation import separated_left, separated_lr
 
 
 def _entry(value) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise InputError(f"entries must be integers or 'p/q' strings, got {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -79,6 +82,24 @@ def _size(data: dict, key: str) -> int:
     return value
 
 
+def _tuple_json(t: MatrixTupleLR) -> list:
+    return [_mat_json(m) for m in t.matrices]
+
+
+def _left_json(A: LeftMatrix) -> list:
+    return _mat_json(A.matrix)
+
+
+# kind -> (size fields, operand parser, operand serializer,
+#          {document key: JSON field} of the operands, in order)
+_KINDS = {
+    "lr-tuple": (("n",), _parse_tuple, _tuple_json, {"tuple": "matrices"}),
+    "lr-pair": (("n",), _parse_tuple, _tuple_json, {"first": "first", "second": "second"}),
+    "left-matrix": (("l", "n"), _parse_left, _left_json, {"matrix": "rows"}),
+    "left-pair": (("l", "n"), _parse_left, _left_json, {"first": "first", "second": "second"}),
+}
+
+
 def load_document(path: str) -> dict:
     """Parse an input document into internal exact values."""
     try:
@@ -94,49 +115,27 @@ def load_document(path: str) -> dict:
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError("document must be an object with a 'kind' field")
     kind = data["kind"]
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise InputError(f"unknown document kind {kind!r}")
+    sizes, parse, _, fields = _KINDS[kind]
+    doc = {"kind": kind, "digest": digest}
     try:
-        if kind == "lr-tuple":
-            n = _size(data, "n")
-            return {"kind": kind, "digest": digest,
-                    "tuple": _parse_tuple(data["matrices"], n)}
-        if kind == "lr-pair":
-            n = _size(data, "n")
-            return {"kind": kind, "digest": digest,
-                    "first": _parse_tuple(data["first"], n),
-                    "second": _parse_tuple(data["second"], n)}
-        if kind == "left-matrix":
-            l, n = _size(data, "l"), _size(data, "n")
-            return {"kind": kind, "digest": digest,
-                    "matrix": _parse_left(data["rows"], l, n)}
-        if kind == "left-pair":
-            l, n = _size(data, "l"), _size(data, "n")
-            return {"kind": kind, "digest": digest,
-                    "first": _parse_left(data["first"], l, n),
-                    "second": _parse_left(data["second"], l, n)}
+        dims = [_size(data, key) for key in sizes]
+        doc.update((key, parse(data[field], *dims)) for key, field in fields.items())
     except KeyError as exc:
         raise InputError(f"missing field {exc}") from None
     except ShapeError as exc:
         raise InputError(str(exc)) from None
-    raise InputError(f"unknown document kind {kind!r}")
+    return doc
 
 
 def document_to_json(doc: dict) -> dict:
     """Serialize a parsed document back to its JSON shape."""
-    kind = doc["kind"]
-    if kind == "lr-tuple":
-        t = doc["tuple"]
-        return {"kind": kind, "n": t.n, "matrices": [_mat_json(m) for m in t.matrices]}
-    if kind == "lr-pair":
-        f, s = doc["first"], doc["second"]
-        return {"kind": kind, "n": f.n,
-                "first": [_mat_json(m) for m in f.matrices],
-                "second": [_mat_json(m) for m in s.matrices]}
-    if kind == "left-matrix":
-        m = doc["matrix"]
-        return {"kind": kind, "l": m.l, "n": m.n, "rows": _mat_json(m.matrix)}
-    f, s = doc["first"], doc["second"]
-    return {"kind": kind, "l": f.l, "n": f.n,
-            "first": _mat_json(f.matrix), "second": _mat_json(s.matrix)}
+    sizes, _, to_json, fields = _KINDS[doc["kind"]]
+    first = doc[next(iter(fields))]
+    out = {"kind": doc["kind"], **{key: getattr(first, key) for key in sizes}}
+    out.update((field, to_json(doc[key])) for key, field in fields.items())
+    return out
 
 
 # -- serialization helpers ----------------------------------------------------
@@ -166,120 +165,95 @@ def _witness_json(report):
                        format_rational(report.values[1])]}
 
 
-# -- commands -----------------------------------------------------------------
+# -- document commands --------------------------------------------------------
+#
+# A payload function takes the operands of one document kind, in the order
+# _KINDS lists them: the tuple or matrix, or the first and second of a pair.
 
 
-def _cmd_invariants(args) -> tuple:
-    doc = load_document(args.file)
-    if doc["kind"] == "lr-tuple":
-        gv = generators_lr(doc["tuple"])
-        values = [{"kind": k, "indices": list(idx), "value": format_rational(v)}
-                  for (k, idx), v in gv.labeled()]
-        return doc, {"count": len(gv), "values": values}
-    if doc["kind"] == "left-matrix":
-        A = doc["matrix"]
-        minors = [{"columns": list(cols), "value": format_rational(v)}
-                  for cols, v in zip(minor_column_sets(A.l, A.n), minors_left(A))]
-        return doc, {"count": len(minors), "minors": minors}
-    raise PreconditionError("invariants needs an lr-tuple or left-matrix document")
+def _invariants_lr(tup) -> dict:
+    gv = generators_lr(tup)
+    values = [{"kind": k, "indices": list(idx), "value": format_rational(v)}
+              for (k, idx), v in gv.labeled()]
+    return {"count": len(gv), "values": values}
 
 
-def _cmd_separate(args) -> tuple:
-    doc = load_document(args.file)
-    if doc["kind"] == "lr-pair":
-        return doc, _witness_json(separated_lr(doc["first"], doc["second"]))
-    if doc["kind"] == "left-pair":
-        return doc, _witness_json(separated_left(doc["first"], doc["second"]))
-    raise PreconditionError("separate needs an lr-pair or left-pair document")
+def _invariants_left(A) -> dict:
+    minors = [{"columns": list(cols), "value": format_rational(v)}
+              for cols, v in zip(minor_column_sets(A.l, A.n), minors_left(A))]
+    return {"count": len(minors), "minors": minors}
 
 
-def _cmd_stability(args) -> tuple:
-    doc = load_document(args.file)
-    if doc["kind"] == "lr-tuple":
-        rep = is_stable_lr(doc["tuple"])
-        out = {"stable": rep.stable,
-               "common_direction": None if rep.common_direction is None
-               else _vec_json(rep.common_direction),
-               "triangularizer": None if rep.triangularizer is None
-               else {"g1": _mat_json(rep.triangularizer.g1),
-                     "g2": _mat_json(rep.triangularizer.g2)}}
-        return doc, out
-    if doc["kind"] == "left-matrix":
-        return doc, {"stable": is_stable_left(doc["matrix"])}
-    raise PreconditionError("stability needs an lr-tuple or left-matrix document")
+def _stability_lr(tup) -> dict:
+    rep = is_stable_lr(tup)
+    return {"stable": rep.stable,
+            "common_direction": None if rep.common_direction is None
+            else _vec_json(rep.common_direction),
+            "triangularizer": None if rep.triangularizer is None
+            else {"g1": _mat_json(rep.triangularizer.g1),
+                  "g2": _mat_json(rep.triangularizer.g2)}}
 
 
-def _cmd_nullcone(args) -> tuple:
-    doc = load_document(args.file)
-    if doc["kind"] == "lr-tuple":
-        return doc, {"member": nullcone_member_lr(doc["tuple"])}
-    if doc["kind"] == "left-matrix":
-        return doc, {"member": nullcone_member_left(doc["matrix"])}
-    raise PreconditionError("nullcone needs an lr-tuple or left-matrix document")
-
-
-def _cmd_phi(args) -> tuple:
-    doc = load_document(args.file)
-    if doc["kind"] != "lr-pair":
-        raise PreconditionError("phi needs an lr-pair document")
-    pair = UpperPair(doc["first"], doc["second"])
+def _phi(first, second) -> dict:
+    pair = UpperPair(first, second)
     img = phi(pair)
-    return doc, {"B": [_mat_json(m) for m in img.B.matrices],
-                 "b": _vec_json(img.b), "b2": _vec_json(img.b2),
-                 "nullcone_member": nullcone_member_lr(img.B),
-                 "separated": separated_lr(pair.first, pair.second).separated}
+    return {"B": [_mat_json(m) for m in img.B.matrices],
+            "b": _vec_json(img.b), "b2": _vec_json(img.b2),
+            "nullcone_member": nullcone_member_lr(img.B),
+            "separated": separated_lr(pair.first, pair.second).separated}
 
 
-def _cmd_classify(args) -> tuple:
-    doc = load_document(args.file)
-    if doc["kind"] != "lr-pair":
-        raise PreconditionError("classify needs an lr-pair document")
-    first, second = doc["first"], doc["second"]
+def _classify(first, second) -> dict:
+    upper = first.is_upper() and second.is_upper()
+    flags = classify_pair(UpperPair(first, second)) if upper else classify_pair_any(first, second)
+    return {"flags": sorted(flags), "upper_input": upper}
+
+
+def _graph_lr(first, second) -> dict:
     if first.is_upper() and second.is_upper():
-        flags = classify_pair(UpperPair(first, second))
-        upper = True
-    else:
-        flags = classify_pair_any(first, second)
-        upper = False
-    return doc, {"flags": sorted(flags), "upper_input": upper}
+        pair = UpperPair(first, second)
+        return {"member": graph_member_upper(pair), "stacked_rank": m_matrix(pair).rank()}
+    flags = classify_pair_any(first, second)
+    return {"member": GAMMA in flags, "stacked_rank": None}
 
 
-def _cmd_graph(args) -> tuple:
-    doc = load_document(args.file)
-    if doc["kind"] == "lr-pair":
-        first, second = doc["first"], doc["second"]
-        if first.is_upper() and second.is_upper():
-            pair = UpperPair(first, second)
-            return doc, {"member": graph_member_upper(pair),
-                         "stacked_rank": m_matrix(pair).rank()}
-        flags = classify_pair_any(first, second)
-        return doc, {"member": GAMMA in flags, "stacked_rank": None}
-    if doc["kind"] == "left-pair":
-        first, second = doc["first"], doc["second"]
-        necessary = graph_necessary(first, second)
-        if first.l in (2, 3):
-            member = graph_member_l23(first, second)
-            note = None
-        else:
-            member = None
-            note = "necessary-only"
-        return doc, {"necessary": necessary, "member": member, "note": note,
-                     "stacked_rank": stack(first, second).rank()}
-    raise PreconditionError("graph needs an lr-pair or left-pair document")
+def _graph_left(first, second) -> dict:
+    decided = first.l in (2, 3)
+    return {"necessary": graph_necessary(first, second),
+            "member": graph_member_l23(first, second) if decided else None,
+            "note": None if decided else "necessary-only",
+            "stacked_rank": stack(first, second).rank()}
 
 
-def _cmd_curve(args) -> tuple:
-    doc = load_document(args.file)
-    if doc["kind"] != "left-pair":
-        raise PreconditionError("curve needs a left-pair document")
-    w = witness_curve_auto(doc["first"], doc["second"])
+def _curve(first, second) -> dict:
+    w = witness_curve_auto(first, second)
     la, lb = w.limits()
-    limits_match = (la == doc["first"] and lb == doc["second"])
-    return doc, {"g": _laurent_json(w.g_curve),
-                 "a": _laurent_json(w.a_curve),
-                 "a2": _laurent_json(w.a2_curve),
-                 "verified": w.verify(),
-                 "limits_match": limits_match}
+    return {"g": _laurent_json(w.g_curve),
+            "a": _laurent_json(w.a_curve),
+            "a2": _laurent_json(w.a2_curve),
+            "verified": w.verify(),
+            "limits_match": la == first and lb == second}
+
+
+def _run(args) -> tuple:
+    """(input digest, payload) of the parsed command.  A document command
+    loads its document and hands the operands to the payload function of
+    its kind; a kind the command does not take is a precondition error."""
+    handlers = _COMMANDS[args.command].action
+    if not isinstance(handlers, dict):
+        return handlers(args)
+    doc = load_document(args.file)
+    handler = handlers.get(doc["kind"])
+    if handler is None:
+        kinds = list(handlers)
+        article = "an" if kinds[0].startswith("lr-") else "a"
+        raise PreconditionError(
+            f"{args.command} needs {article} {' or '.join(kinds)} document")
+    *_, fields = _KINDS[doc["kind"]]
+    return doc["digest"], handler(*[doc[key] for key in fields])
+
+
+# -- commands without a document ----------------------------------------------
 
 
 def _cmd_certify(args) -> tuple:
@@ -291,28 +265,24 @@ def _cmd_certify(args) -> tuple:
          "trials": c.trials, "verdict": c.verdict,
          "witness_point": None if c.witness_point is None else _vec_json(c.witness_point)}
         for c in certs]}
-    doc = {"kind": "certify", "digest": _args_digest(
-        {"n": args.n, "l": args.l, "claims": args.claims,
-         "trials": args.trials, "seed": args.seed})}
+    digest = _args_digest({"n": args.n, "l": args.l, "claims": args.claims,
+                           "trials": args.trials, "seed": args.seed})
     if any(c.verdict != CERTIFIED for c in certs):
-        raise _CertifyFailure(doc, payload)
-    return doc, payload
+        raise _CertifyFailure(digest, payload)
+    return digest, payload
 
 
 class _CertifyFailure(Exception):
-    def __init__(self, doc, payload):
-        self.doc = doc
-        self.payload = payload
+    """A certify report with an uncertified claim; args: (digest, payload)."""
 
 
 def _cmd_identities(args) -> tuple:
-    doc = {"kind": "identities", "digest": _args_digest({})}
-    return doc, {"xi_identity": verify_xi_identity(),
-                 "bracket_identity": verify_bracket_identity()}
+    return _args_digest({}), {"xi_identity": verify_xi_identity(),
+                              "bracket_identity": verify_bracket_identity()}
 
 
 def _cmd_counts(args) -> tuple:
-    doc = {"kind": "counts", "digest": _args_digest({"n": args.n, "l": args.l})}
+    digest = _args_digest({"n": args.n, "l": args.l})
     if args.l is None:
         if args.n is None:
             raise PreconditionError("counts needs --n")
@@ -323,12 +293,12 @@ def _cmd_counts(args) -> tuple:
     else:
         if args.n is None:
             raise PreconditionError("counts needs --n alongside --l")
-        from math import comb
+        # the lower bound checks l >= 2 and n >= l, so comb never sees n < 0
         payload = {"l": args.l, "n": args.n,
+                   "lower_bound": lower_bound_left(args.l, args.n),
                    "dim": invariant_dim_left(args.l, args.n),
-                   "generators": comb(args.n, args.l),
-                   "lower_bound": lower_bound_left(args.l, args.n)}
-    return doc, payload
+                   "generators": comb(args.n, args.l)}
+    return digest, payload
 
 
 def _args_digest(params: dict) -> str:
@@ -339,24 +309,23 @@ def _args_digest(params: dict) -> str:
 # -- report emission ----------------------------------------------------------
 
 
-def _emit(command: str, args, doc, payload) -> None:
-    report = {"command": command,
+def _emit(args, digest: str, payload) -> None:
+    report = {"command": args.command,
               "arguments": _echo_args(args),
-              "input_digest": f"sha256:{doc['digest']}",
+              "input_digest": f"sha256:{digest}",
               "result": payload,
               "version": __version__}
-    if getattr(args, "format", "structured") == "text":
+    if args.format == "text":
         _emit_text(report)
     else:
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def _echo_args(args) -> dict:
-    skip = {"func", "format"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    return {k: v for k, v in sorted(vars(args).items()) if k != "format"}
 
 
-def _emit_text(report, prefix="") -> None:
+def _emit_text(report) -> None:
     def walk(value, key, indent):
         pad = "  " * indent
         if isinstance(value, dict):
@@ -374,6 +343,43 @@ def _emit_text(report, prefix="") -> None:
 # -- argument parsing ---------------------------------------------------------
 
 
+class _Command(NamedTuple):
+    help: str
+    # document kind -> payload function, or the function of a command
+    # that reads no document (it takes the parsed arguments)
+    action: object
+    options: tuple = ()   # (flag, add_argument keywords) after --format
+
+
+_SIZES = (("--n", {"type": int, "default": None}), ("--l", {"type": int, "default": None}))
+
+_COMMANDS = {
+    "invariants": _Command("evaluate generating invariants or minors",
+                           {"lr-tuple": _invariants_lr, "left-matrix": _invariants_left}),
+    "separate": _Command("decide separation of a pair, with witness",
+                         {"lr-pair": lambda a, b: _witness_json(separated_lr(a, b)),
+                          "left-pair": lambda a, b: _witness_json(separated_left(a, b))}),
+    "stability": _Command("stability test",
+                          {"lr-tuple": _stability_lr,
+                           "left-matrix": lambda A: {"stable": is_stable_left(A)}}),
+    "nullcone": _Command("nullcone membership",
+                         {"lr-tuple": lambda t: {"member": nullcone_member_lr(t)},
+                          "left-matrix": lambda A: {"member": nullcone_member_left(A)}}),
+    "phi": _Command("diagonal repacking of an upper pair", {"lr-pair": _phi}),
+    "classify": _Command("component flags of a non-separated pair", {"lr-pair": _classify}),
+    "graph": _Command("graph-closure membership tests",
+                      {"lr-pair": _graph_lr, "left-pair": _graph_left}),
+    "curve": _Command("witness curve for a left-action nullcone pair", {"left-pair": _curve}),
+    "certify": _Command("certify component dimensions", _cmd_certify, _SIZES + (
+        ("--claims", {"type": str, "default": None,
+                      "help": "comma-separated claim names to certify"}),
+        ("--trials", {"type": int, "default": 5}),
+        ("--seed", {"type": int, "default": 0}))),
+    "identities": _Command("run the symbolic identity oracle", _cmd_identities),
+    "counts": _Command("dimension, generator count and lower bound", _cmd_counts, _SIZES),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matsep",
@@ -383,40 +389,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "maps the row pattern onto column-proportional nullcone "
                     "tuples and vice versa.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text, needs_file=True):
-        p = sub.add_parser(name, help=help_text)
-        if needs_file:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if isinstance(command.action, dict):
             p.add_argument("file", help="input document (JSON with exact rationals)")
-        p.add_argument("--format", choices=("structured", "text"),
-                       default="structured")
-        p.set_defaults(func=fn)
-        return p
-
-    add("invariants", _cmd_invariants, "evaluate generating invariants or minors")
-    add("separate", _cmd_separate, "decide separation of a pair, with witness")
-    add("stability", _cmd_stability, "stability test")
-    add("nullcone", _cmd_nullcone, "nullcone membership")
-    add("phi", _cmd_phi, "diagonal repacking of an upper pair")
-    add("classify", _cmd_classify, "component flags of a non-separated pair")
-    add("graph", _cmd_graph, "graph-closure membership tests")
-    add("curve", _cmd_curve, "witness curve for a left-action nullcone pair")
-
-    p = add("certify", _cmd_certify, "certify component dimensions", needs_file=False)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--claims", type=str, default=None,
-                   help="comma-separated claim names to certify")
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-
-    add("identities", _cmd_identities, "run the symbolic identity oracle",
-        needs_file=False)
-
-    p = add("counts", _cmd_counts, "dimension, generator count and lower bound",
-            needs_file=False)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
+        p.add_argument("--format", choices=("structured", "text"), default="structured")
+        for flag, keywords in command.options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -424,11 +403,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        doc, payload = args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
-    except ShapeError as exc:
+        digest, payload = _run(args)
+    except (InputError, ShapeError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except PreconditionError as exc:
@@ -438,10 +414,10 @@ def main(argv=None) -> int:
         sys.stderr.write(f"certification failure: {exc}\n")
         return 4
     except _CertifyFailure as fail:
-        _emit(args.command, args, fail.doc, fail.payload)
+        _emit(args, *fail.args)
         sys.stderr.write("certification failure: not all claims certified\n")
         return 4
-    _emit(args.command, args, doc, payload)
+    _emit(args, digest, payload)
     return 0
 
 

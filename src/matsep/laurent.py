@@ -92,11 +92,17 @@ class TermPoly:
         return hash(frozenset(self.terms.items()))
 
 
+def _exponent(e) -> int:
+    if isinstance(e, (int, Fraction)) and e.denominator == 1:
+        return int(e)
+    raise ValueError(f"Laurent exponents must be integers, got {e!r}")
+
+
 class LaurentPoly(TermPoly):
     __slots__ = ()
 
     def __init__(self, terms: Dict[int, Fraction]):
-        self._set_terms((int(e), rat(c)) for e, c in terms.items())
+        self._set_terms((_exponent(e), rat(c)) for e, c in terms.items())
 
     @staticmethod
     def _wrap(terms: Dict[int, Fraction]) -> "LaurentPoly":
@@ -186,12 +192,6 @@ class LaurentMatrix:
                 out.append(LaurentPoly._wrap(_collect({}, terms)))
         return LaurentMatrix(self.rows, m, out)
 
-    def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError("shape mismatch")
-        return LaurentMatrix(self.rows, self.cols,
-                             [a - b for a, b in zip(self.entries, other.entries)])
-
     def det(self) -> LaurentPoly:
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
@@ -206,9 +206,6 @@ class LaurentMatrix:
 
     def evaluate(self, t) -> RMatrix:
         return RMatrix(self.rows, self.cols, [e.evaluate(t) for e in self.entries])
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LaurentMatrix) and self.rows == other.rows

@@ -93,20 +93,15 @@ class RMatrix:
     def __matmul__(self, other: "RMatrix") -> "RMatrix":
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape()} by {other.shape()}")
-        out = []
-        for r in range(self.rows):
-            row = self.row(r)
-            for c in range(other.cols):
-                out.append(sum((row[k] * other.at(k, c) for k in range(self.cols)),
-                               Fraction(0)))
-        return RMatrix(self.rows, other.cols, out)
+        if not self.cols:
+            return RMatrix.zeros(self.rows, other.cols)
+        product = grid_product(self.to_rows(), other.to_rows())
+        return RMatrix(self.rows, other.cols, [e for row in product for e in row])
 
     def mul_vec(self, vec: Sequence) -> tuple:
-        v = [rat(x) for x in vec]
-        if len(v) != self.cols:
+        if len(vec) != self.cols:
             raise ShapeError("vector length mismatch")
-        return tuple(sum((self.at(r, k) * v[k] for k in range(self.cols)), Fraction(0))
-                     for r in range(self.rows))
+        return (self @ RMatrix(self.cols, 1, vec)).entries
 
     def transpose(self) -> "RMatrix":
         return RMatrix(self.cols, self.rows,
@@ -308,6 +303,15 @@ def integer_det(grid: list) -> int:
 def stack_rows(vectors: Sequence[Sequence]) -> RMatrix:
     """Matrix whose rows are the given equal-length vectors."""
     return RMatrix.from_rows([list(v) for v in vectors])
+
+
+def grid_product(A: Sequence[Sequence], B: Sequence[Sequence]) -> list:
+    """Product of two grids (lists of rows) over any commutative scalar
+    (rationals, dual numbers); each sum starts from its first product, not
+    from 0.  The inner dimension must be at least one."""
+    inner = range(1, len(B))
+    return [[sum((row[k] * B[k][c] for k in inner), row[0] * B[0][c])
+             for c in range(len(B[0]))] for row in A]
 
 
 def cofactor_det(grid):

@@ -4,6 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matsep import parse_rational
 from matsep.cli import document_to_json, load_document, main
@@ -296,6 +297,24 @@ def test_counts_minimal_n():
     assert code == 0
     result = json.loads(out)["result"]
     assert result == {"dim": 1, "generators": 1, "lower_bound": 1, "n": 1}
+
+
+def test_counts_negative_n_with_l_is_precondition_error():
+    code, out, err = run_cli(["counts", "--n", "-3", "--l", "2"])
+    assert (code, out) == (3, "")
+    assert err == "precondition violated: need n >= l\n"
+
+
+@settings(max_examples=60)
+@given(n=st.integers(-5, 12), l=st.none() | st.integers(-5, 12))
+def test_counts_exits_0_or_3_with_one_precondition_line(n, l):
+    argv = ["counts", "--n", str(n)] + ([] if l is None else ["--l", str(l)])
+    code, out, err = run_cli(argv)
+    if code == 0:
+        assert err == "" and json.loads(out)["result"]["n"] == n
+    else:
+        assert (code, out) == (3, "")
+        assert err.startswith("precondition violated: ") and err.count("\n") == 1
 
 
 def test_graph_separated_upper_pair_is_precondition_error(tmp_path):

@@ -9,6 +9,7 @@ nonzero Fraction: an int would reach limit_at_zero and the JSON report.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from matsep import LaurentMatrix, LaurentPoly, SparsePoly
@@ -103,3 +104,16 @@ def test_trusted_results_skip_validation_but_constructor_validates():
 def test_hypothesis_profile_is_reproducible():
     current = settings()
     assert current.derandomize and current.database is None and current.deadline is None
+
+
+@pytest.mark.parametrize("exp", [Fraction(1, 2), 2.7, 2.0, "1", None])
+def test_non_integral_exponents_are_refused(exp):
+    # truncating 1/2 to 0 or 2.7 to 2 would silently change the polynomial
+    with pytest.raises(ValueError):
+        LaurentPoly({exp: 1})
+
+
+def test_integral_fraction_exponents_become_ints():
+    p = LaurentPoly({Fraction(4, 2): 3, -1: 1, Fraction(-6, 3): 5})
+    assert p.terms == {2: 3, -1: 1, -2: 5}
+    assert all(type(e) is int for e in p.terms)
