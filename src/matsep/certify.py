@@ -10,10 +10,35 @@ impossible for a correct parameterization and raises immediately.
 
 Trials draw integer coordinates in [-20, 20] from a generator seeded by
 (seed, trial index), so every certificate is reproducible from its seed
-and recorded witness point.  The evaluators run on integer dual numbers:
-each output is integer numerators over one shared denominator, whose
-partial numerators are the Jacobian row that the Bareiss rank reads,
-with no Fraction arithmetic and no rounding or modular shortcut.
+and recorded witness point.
+
+Each trial takes its rank at the sampled point moved to the identity of
+its group charts (their coordinates set to 0); the witness point stays
+the sampled point, because the rank is the same there.  A grouped
+parameterization is Phi(p, t) = L_g(t).P(p): P is free of the chart
+coordinates t, g(t) is a product of determinant-one charts, and L_g is
+the invertible linear map by which g acts on the outputs (for a graph
+closure (A, g.A), the identity on the first half).  Then
+
+    dPhi = L_g.[dP | dL(g^-1 d_t g).P],
+
+so the rank at (p, t) is that of [dP | dL(X).P] with X running over the
+columns g^-1 d_t g.  Both chart kinds read their parameters straight off
+matrix entries, so on the guarded domain each chart is an open immersion
+into its group, and those columns span the whole Lie algebra at every
+guarded t, t = 0 included.  The rank at (p, t) thus equals the rank at
+(p, 0): for a saturation G.C it is the dimension of T_p C + Lie(G).P(p),
+the tangent space g.(T_p C + Lie(G).P(p)) moved back to the identity.
+At 0 the chart entries are 0 and 1, so the Jacobian carries far smaller
+integers and its elimination is much cheaper.  The lower bound stays
+sound whatever `group_coords` declares, since no point's rank exceeds
+the generic rank; only the statement that the witness point itself
+reaches the rank rests on this lemma.
+
+The evaluators run on integer dual numbers: each output is integer
+numerators over one shared denominator, whose partial numerators are the
+Jacobian row that the Bareiss rank reads, with no Fraction arithmetic
+and no rounding or modular shortcut.
 
 Each builtin claim is one row of `_LR_CLAIMS` or `_LEFT_CLAIMS`: its name,
 claimed dimension, description and parameterization factory, each called
@@ -47,6 +72,14 @@ class Parameterization:
     The evaluator accepts a list of scalars (exact rationals or dual
     numbers) and must stay inside +, -, *, / by chart denominators; the
     chart guards are the denominators that must not vanish at a sample.
+
+    `group_coords` are the coordinates t of the determinant-one charts
+    g(t) that act linearly on the outputs.  The condition: the map is
+    L_g(t).P(p) with P free of t, every chart reads its coordinates
+    straight off matrix entries (an open immersion on its guarded
+    domain), and t = 0 is the identity.  Then the Jacobian rank is the
+    same at t and at t = 0 (see the module docstring), and
+    `certify_dimension` takes it at t = 0.
     """
 
     name: str
@@ -54,6 +87,7 @@ class Parameterization:
     output_count: int
     evaluator: Callable[[Sequence], List]
     chart_guards: Tuple[Callable[[Sequence], Fraction], ...] = ()
+    group_coords: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -82,15 +116,22 @@ def jacobian(param: Parameterization, point: Sequence) -> RMatrix:
 
 def certify_dimension(param: Parameterization, claimed: int,
                       trials: int = 5, seed: int = 0) -> DimensionCertificate:
-    """Maximize the Jacobian rank over random integer sample points."""
+    """Maximize the Jacobian rank over random integer sample points.
+
+    Each rank is taken at the sample moved to the identity of its group
+    charts, where it is the same (see the module docstring); the
+    witness is the sample itself.
+    """
     if trials < 1:
         raise PreconditionError("at least one trial is required")
     best = -1
     witness = None
+    group = set(param.group_coords)
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
         point = _sample_point(param, rng)
-        rank = jacobian(param, point).rank()
+        at = [0 if i in group else x for i, x in enumerate(point)]
+        rank = jacobian(param, at).rank()
         if rank > claimed:
             raise CertificationError(
                 f"{param.name}: rank {rank} exceeds claimed dimension {claimed}; "
@@ -190,14 +231,15 @@ def _chart_guards_at(offsets: Sequence[int]) -> Tuple[Callable, ...]:
 
 
 def _saturate(pairs_eval, base_count: int):
-    """Wrap a pair evaluator with four determinant-one chart factors."""
+    """Wrap a pair evaluator with four determinant-one chart factors;
+    returns the evaluator, the chart guards and the group coordinates."""
     offsets = range(base_count, base_count + 12, 3)
 
     def evaluator(ps):
         first, second = pairs_eval(ps)
         g1, g2, h1, h2 = (_sl2_chart_g(ps[o:o + 3]) for o in offsets)
         return _flatten_mats(_act2(g1, g2, first)) + _flatten_mats(_act2(h1, h2, second))
-    return evaluator, _chart_guards_at(offsets)
+    return evaluator, _chart_guards_at(offsets), tuple(range(base_count, base_count + 12))
 
 
 def _gamma_pair(name: str, n: int) -> Parameterization:
@@ -210,7 +252,8 @@ def _gamma_pair(name: str, n: int) -> Parameterization:
         return _flatten_mats(mats) + _flatten_mats(_act2(g1, g2, mats))
     return Parameterization(
         name=name, param_count=4 * n + 6, output_count=8 * n,
-        evaluator=evaluator, chart_guards=_chart_guards_at([4 * n, 4 * n + 3]))
+        evaluator=evaluator, chart_guards=_chart_guards_at([4 * n, 4 * n + 3]),
+        group_coords=tuple(range(4 * n, 4 * n + 6)))
 
 
 def _cr_pair_eval(n: int):
@@ -264,8 +307,8 @@ def _cr_cc_pair_eval(n: int):
 def _pair_param(pair_eval_factory, name: str, n: int, saturated: bool) -> Parameterization:
     pairs, base = pair_eval_factory(n)
     if saturated:
-        evaluator, guards = _saturate(pairs, base)
-        return Parameterization(name, base + 12, 8 * n, evaluator, guards)
+        evaluator, guards, group = _saturate(pairs, base)
+        return Parameterization(name, base + 12, 8 * n, evaluator, guards, group)
 
     def evaluator(ps):
         first, second = pairs(ps)
@@ -283,7 +326,8 @@ def _gamma_left_param(name: str, l: int, n: int) -> Parameterization:
         return _flatten_mats([rows, _gmul(g, rows)])
     return Parameterization(
         name=name, param_count=l * n + l * l - 1, output_count=2 * l * n,
-        evaluator=evaluator, chart_guards=(_sl_chart_guard(l, l * n),))
+        evaluator=evaluator, chart_guards=(_sl_chart_guard(l, l * n),),
+        group_coords=tuple(range(l * n, l * n + l * l - 1)))
 
 
 def _nullcone_rows(l: int, n: int, ps, offset: int):

@@ -257,7 +257,7 @@ def _run(args) -> tuple:
 
 
 def _cmd_certify(args) -> tuple:
-    names = args.claims.split(",") if args.claims else None
+    names = None if args.claims is None else args.claims.split(",")
     certs = certify_builtin(n=args.n, l=args.l, names=names,
                             trials=args.trials, seed=args.seed)
     payload = {"certificates": [

@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from matsep import (CertificationError, ChartSingularityError, LeftMatrix,
                     MatrixTupleLR, Parameterization, PreconditionError,
@@ -71,12 +72,16 @@ def test_rank_above_claim_is_a_hard_failure():
 
 
 def test_certificates_reproducible_from_witness():
-    p = builtin_parameterization("gamma", n=4)
-    cert = certify_dimension(p, claimed=22, trials=3, seed=7)
-    assert cert.verdict == CERTIFIED
-    assert jacobian(p, list(cert.witness_point)).rank() == cert.achieved_rank
-    again = certify_dimension(p, claimed=22, trials=3, seed=7)
-    assert again == cert
+    """The full chart Jacobian at the recorded witness reaches the
+    achieved rank, for every builtin claim."""
+    for l, n in ((None, 4), (None, 5), (2, 4), (3, 5)):
+        for row in builtin_claims(n, l):
+            p = builtin_parameterization(row.name, n, l)
+            cert = certify_dimension(p, claimed=row.claimed, trials=3, seed=7)
+            assert cert.verdict == CERTIFIED, row.name
+            assert jacobian(p, list(cert.witness_point)).rank() == cert.achieved_rank
+            again = certify_dimension(p, claimed=row.claimed, trials=3, seed=7)
+            assert again == cert
 
 
 def test_all_guards_singular_reports():
@@ -237,3 +242,87 @@ def test_left_evaluators_never_add_a_dual_to_int_zero(monkeypatch, l, n):
         param = builtin_parameterization(row.name, n, l)
         point = [Fraction(rng.randint(2, 9)) for _ in range(param.param_count)]
         assert jacobian(param, point).rank() <= row.claimed
+
+
+# -- ranks at the identity of the group charts --------------------------------
+# certify takes each rank at the sample with its group-chart coordinates
+# set to 0; the full chart Jacobian at the sample itself is the oracle.
+
+_GROUPED_SIZES = [(None, n) for n in range(4, 8)] + [(2, 4), (3, 5), (4, 6), (4, 8), (5, 7)]
+_GROUPED = [(l, n, row.name) for l, n in _GROUPED_SIZES for row in builtin_claims(n, l)
+            if builtin_parameterization(row.name, n, l).group_coords]
+
+
+def _at_identity(param, point):
+    group = set(param.group_coords)
+    return [Fraction(0) if i in group else x for i, x in enumerate(point)]
+
+
+def test_grouped_claims_are_the_saturations_and_graph_closures():
+    assert sorted({name for _, _, name in _GROUPED}) == [
+        "gamma", "gamma-left", "gamma-sat-cr", "sat-cc", "sat-cr", "sat-cr-cc"]
+
+
+@pytest.mark.parametrize("l,n", _GROUPED_SIZES)
+def test_rank_at_identity_equals_full_rank_at_sample(l, n):
+    """Three seeded samples per grouped claim, drawn as certify draws them."""
+    rng = Random(817 + 10 * n + (l or 0))
+    for row in builtin_claims(n, l):
+        param = builtin_parameterization(row.name, n, l)
+        if not param.group_coords:
+            continue
+        points = 0
+        while points < 3:
+            point = [Fraction(rng.randint(-20, 20)) for _ in range(param.param_count)]
+            if any(guard(point) == 0 for guard in param.chart_guards):
+                continue
+            points += 1
+            assert (jacobian(param, point).rank()
+                    == jacobian(param, _at_identity(param, point)).rank()), row.name
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(_GROUPED), st.data())
+def test_rank_at_identity_equals_full_rank_far_from_identity(case, data):
+    """Chart coordinates in -1000..1000, the rest as certify draws them;
+    samples on a chart singularity are skipped."""
+    l, n, name = case
+    param = builtin_parameterization(name, n, l)
+    group = set(param.group_coords)
+    chart = iter(data.draw(st.lists(st.integers(-1000, 1000),
+                                    min_size=len(group), max_size=len(group))))
+    base = iter(data.draw(st.lists(st.integers(-20, 20), min_size=param.param_count - len(group),
+                                   max_size=param.param_count - len(group))))
+    point = [Fraction(next(chart if i in group else base)) for i in range(param.param_count)]
+    assume(all(guard(point) != 0 for guard in param.chart_guards))
+    assert (jacobian(param, point).rank()
+            == jacobian(param, _at_identity(param, point)).rank())
+
+
+def _flat_pairs(pairs, point):
+    first, second = pairs(point)
+    return [e for mats in (first, second) for m in mats for row in m for e in row]
+
+
+@pytest.mark.parametrize("l,n", _GROUPED_SIZES)
+def test_group_coords_are_the_charts_and_zero_is_the_identity(l, n):
+    """At the moved sample every chart guard reads 1 and the group acts
+    as the identity: a graph closure outputs (A, A) and a saturation its
+    unsaturated pattern pairs, both read at the unmoved sample."""
+    from matsep.certify import (_cc_pair_eval, _cr_cc_pair_eval, _cr_pair_eval,
+                                _span_cr_pair_eval)
+    saturated = {"sat-cr": _cr_pair_eval, "sat-cc": _cc_pair_eval,
+                 "gamma-sat-cr": _span_cr_pair_eval, "sat-cr-cc": _cr_cc_pair_eval}
+    rng = Random(818 + 10 * n + (l or 0))
+    for _, _, name in (c for c in _GROUPED if c[:2] == (l, n)):
+        param = builtin_parameterization(name, n, l)
+        point = [Fraction(rng.randint(1, 20)) for _ in range(param.param_count)]
+        at = _at_identity(param, point)
+        assert [guard(at) for guard in param.chart_guards] == [1] * len(param.chart_guards)
+        moved = param.evaluator(at)
+        if name in saturated:
+            assert moved == _flat_pairs(saturated[name](n)[0], point), name
+        else:
+            half = param.output_count // 2
+            base = param.evaluator(point)[:half]
+            assert moved == base + base, name

@@ -172,6 +172,15 @@ def test_certify_command_success():
     assert json.loads(out)["result"]["certificates"][0]["verdict"] == "CERTIFIED"
 
 
+@pytest.mark.parametrize("claims,unknown", [("", "['']"), (",", "['']"),
+                                            ("gamma,", "['']")])
+def test_certify_empty_claim_names_are_unknown(claims, unknown):
+    """Only an absent --claims selects every claim; an empty name is unknown."""
+    code, out, err = run_cli(["certify", "--n", "4", "--claims", claims])
+    assert code == 3 and out == ""
+    assert err == f"precondition violated: unknown claim names: {unknown}\n"
+
+
 def test_exit_code_4_on_certification_failure(monkeypatch):
     import matsep.cli as cli
     from matsep.certify import DimensionCertificate

@@ -14,7 +14,10 @@ two-sided blocks read one integer form per tuple (`invariants`,
 accumulated each entry in one term map (`curve` for l = 2 and for each
 l = 3 branch: second side collapsed, also with a zero second side that
 takes the row swap, first side collapsed, and both top spans
-two-dimensional, once as text), so ranks,
+two-dimensional, once as text), and before each certify trial took its
+rank at the sampled point moved to the identity of its group charts
+(`certify` for all seven 2x2 claims at n = 7 and the left family at
+(l, n) = (5, 7) and (2, 4)), so ranks,
 minors, witness points, directions and verdicts are pinned, not
 re-derived.  Document commands run from tests/golden/,
 so the report echoes each document's bare file name.
@@ -39,6 +42,9 @@ CASES = [
      ["certify", "--l", "3", "--n", "5", "--seed", "2"]),
     ("certify_l4_n8_z-left_seed0.txt",
      ["certify", "--l", "4", "--n", "8", "--claims", "z-left", "--seed", "0"]),
+    ("certify_n7_seed3.txt", ["certify", "--n", "7", "--seed", "3"]),
+    ("certify_l5_n7_seed4.txt", ["certify", "--l", "5", "--n", "7", "--seed", "4"]),
+    ("certify_l2_n4_seed5.txt", ["certify", "--l", "2", "--n", "4", "--seed", "5"]),
 ]
 
 DOCUMENT_CASES = [
