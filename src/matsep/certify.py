@@ -12,28 +12,29 @@ Trials draw integer coordinates in [-20, 20] from a generator seeded by
 (seed, trial index), so every certificate is reproducible from its seed
 and recorded witness point.
 
-Each trial takes its rank at the sampled point moved to the identity of
-its group charts (their coordinates set to 0); the witness point stays
-the sampled point, because the rank is the same there.  A grouped
-parameterization is Phi(p, t) = L_g(t).P(p): P is free of the chart
-coordinates t, g(t) is a product of determinant-one charts, and L_g is
-the invertible linear map by which g acts on the outputs (for a graph
-closure (A, g.A), the identity on the first half).  Then
+The saturations G.C and graph closures {(A, g.A)} are the grouped
+claims, each declared once as an `Orbit`: a base map P(p), free of the
+chart coordinates t, with blocks of matrices as outputs, and the
+determinant-one charts acting on each block from the left and, by their
+inverse, from the right.  With g(t) the product of the charts and L_g
+its linear action on the outputs, Phi(p, t) = L_g(t).P(p) has
 
-    dPhi = L_g.[dP | dL(g^-1 d_t g).P],
+    dPhi = L_g.[dP | dL(g^-1 d_t g).P].
 
-so the rank at (p, t) is that of [dP | dL(X).P] with X running over the
-columns g^-1 d_t g.  Both chart kinds read their parameters straight off
-matrix entries, so on the guarded domain each chart is an open immersion
-into its group, and those columns span the whole Lie algebra at every
-guarded t, t = 0 included.  The rank at (p, t) thus equals the rank at
-(p, 0): for a saturation G.C it is the dimension of T_p C + Lie(G).P(p),
-the tangent space g.(T_p C + Lie(G).P(p)) moved back to the identity.
-At 0 the chart entries are 0 and 1, so the Jacobian carries far smaller
-integers and its elimination is much cheaper.  The lower bound stays
-sound whatever `group_coords` declares, since no point's rank exceeds
-the generic rank; only the statement that the witness point itself
-reaches the rank rests on this lemma.
+Each chart reads its parameters off matrix entries, so it is an open
+immersion on its guarded domain and the columns g^-1 d_t g span the Lie
+algebra at every guarded t.  So the rank at (p, t) is that of
+[dP | dL(X).P] at t = 0, the identity (for a saturation, the dimension
+of T_p C + Lie(G).P(p)), and each grouped trial builds that matrix with
+no chart evaluated: the Jacobian of P, then per chart coordinate (r, c)
+of an s x s chart (row-major, bottom-right left out) with tangent
+T = E_rc off the diagonal and E_rr - E_zz on it (z = s - 1), the column
+T.M for a left chart and -M.T for a right one, M the integer values of
+P's matrices.  This is the matrix `jacobian` returns at (p, 0), entry
+for entry; Phi serves `jacobian` and the witness, the sampled point.
+The lower bound stays sound whatever is declared, since no point's rank
+exceeds the generic rank.  Every other parameterization, user ones
+included, differentiates its evaluator with `group_coords` set to 0.
 
 The evaluators run on integer dual numbers: each output is integer
 numerators over one shared denominator, whose partial numerators are the
@@ -66,6 +67,56 @@ FAILED = "FAILED"
 
 
 @dataclass(frozen=True)
+class Orbit:
+    """A grouped claim's base map and the charts acting on its outputs.
+
+    `base(ps)` returns the output blocks, each a list of matrices of
+    `shape`; it is polynomial, so its values at integer points are
+    integers.  `charts[b]` holds, for block b, the offset of the chart
+    acting from the left (rows x rows) and of the one acting from the
+    right by its inverse (cols x cols), either None.
+    """
+
+    base: Callable[[Sequence], tuple]
+    shape: Tuple[int, int]
+    charts: Tuple[Tuple[Optional[int], Optional[int]], ...]
+
+    def evaluate(self, ps) -> list:
+        """Phi: every block of P(p) moved by its charts."""
+        out = []
+        for mats, (left, right) in zip(self.base(ps), self.charts):
+            if left is not None:
+                g = _sl_chart_g(self.shape[0], ps[left:])
+                mats = [_gmul(g, m) for m in mats]
+            if right is not None:
+                h = _adjugate(_sl_chart_g(self.shape[1], ps[right:]))
+                mats = [_gmul(m, h) for m in mats]
+            out += _flatten_mats(mats)
+        return out
+
+    def identity_jacobian(self, at: Sequence[int]) -> RMatrix:
+        """[dP | dL(X).P] at an integer point whose chart coordinates are
+        0: the matrix `jacobian` returns there, with no chart evaluated."""
+        jac = jacobian_of(lambda ps: _flatten_mats(sum(self.base(ps), [])), at)
+        # fresh rows held by no one else, zero in every chart column and,
+        # P being polynomial, over scale 1: the chart entries are M itself
+        rows = jac._integer_rows()[0]
+        nr, nc = self.shape
+        first = 0
+        for mats, (left, right) in zip(self.base(at), self.charts):
+            for m in mats:
+                out = rows[first:first + nr * nc]
+                first += nr * nc
+                for col, r, c, coef in _tangents(left, nr):
+                    for j in range(nc):
+                        out[r * nc + j][col] = coef * m[c][j]
+                for col, r, c, coef in _tangents(right, nc):
+                    for i in range(nr):
+                        out[i * nc + c][col] = -coef * m[i][r]
+        return jac
+
+
+@dataclass(frozen=True)
 class Parameterization:
     """A rational map from a parameter cube into a flattened point space.
 
@@ -73,13 +124,13 @@ class Parameterization:
     numbers) and must stay inside +, -, *, / by chart denominators; the
     chart guards are the denominators that must not vanish at a sample.
 
-    `group_coords` are the coordinates t of the determinant-one charts
-    g(t) that act linearly on the outputs.  The condition: the map is
-    L_g(t).P(p) with P free of t, every chart reads its coordinates
-    straight off matrix entries (an open immersion on its guarded
-    domain), and t = 0 is the identity.  Then the Jacobian rank is the
-    same at t and at t = 0 (see the module docstring), and
-    `certify_dimension` takes it at t = 0.
+    `group_coords` are the coordinates t of determinant-one charts g(t)
+    acting linearly on the outputs: the map is L_g(t).P(p), P free of t,
+    each chart reads t off matrix entries and t = 0 is the identity.
+    `certify_dimension` takes each rank at t = 0 (see the module
+    docstring): as [dP | dL(X).P] from the `orbit`, from which the
+    builtin grouped claims derive evaluator, guards and group
+    coordinates, or else as the dual Jacobian of the evaluator.
     """
 
     name: str
@@ -88,6 +139,7 @@ class Parameterization:
     evaluator: Callable[[Sequence], List]
     chart_guards: Tuple[Callable[[Sequence], Fraction], ...] = ()
     group_coords: Tuple[int, ...] = ()
+    orbit: Optional[Orbit] = None
 
 
 @dataclass(frozen=True)
@@ -131,13 +183,14 @@ def certify_dimension(param: Parameterization, claimed: int,
         rng = random.Random(seed * 1_000_003 + trial)
         point = _sample_point(param, rng)
         at = [0 if i in group else x for i, x in enumerate(point)]
-        rank = jacobian(param, at).rank()
+        jac = param.orbit.identity_jacobian(at) if param.orbit else jacobian(param, at)
+        rank = jac.rank()
         if rank > claimed:
             raise CertificationError(
                 f"{param.name}: rank {rank} exceeds claimed dimension {claimed}; "
                 "the parameterization does not land in the claimed component")
         if rank > best:
-            best, witness = rank, tuple(point)
+            best, witness = rank, tuple(map(Fraction, point))
     if best == claimed:
         verdict = CERTIFIED
     elif best > 0:
@@ -147,9 +200,9 @@ def certify_dimension(param: Parameterization, claimed: int,
     return DimensionCertificate(param.name, claimed, best, trials, witness, verdict)
 
 
-def _sample_point(param: Parameterization, rng: random.Random) -> List[Fraction]:
+def _sample_point(param: Parameterization, rng: random.Random) -> List[int]:
     for _ in range(100):
-        point = [Fraction(rng.randint(-20, 20)) for _ in range(param.param_count)]
+        point = [rng.randint(-20, 20) for _ in range(param.param_count)]
         if all(guard(point) != 0 for guard in param.chart_guards):
             return point
     raise ChartSingularityError(
@@ -161,17 +214,10 @@ def _sample_point(param: Parameterization, rng: random.Random) -> List[Fraction]
 
 def sl2_chart(alpha, beta, gamma) -> RMatrix:
     """[[1+a, b], [c, (1+bc)/(1+a)]], an exact determinant-one matrix."""
-    alpha, beta, gamma = rat(alpha), rat(beta), rat(gamma)
-    if 1 + alpha == 0:
+    params = [rat(alpha), rat(beta), rat(gamma)]
+    if _sl_chart_guard(2, 0)(params) == 0:
         raise ChartSingularityError("chart singularity at alpha = -1")
-    return RMatrix.from_rows(_sl2_chart_g([alpha, beta, gamma]))
-
-
-def _sl2_chart_g(params) -> list:
-    alpha, beta, gamma = params
-    top_left = 1 + alpha
-    return [[top_left, beta],
-            [gamma, (1 + beta * gamma) / top_left]]
+    return RMatrix.from_rows(_sl_chart_g(2, params))
 
 
 def _sl_chart_grid(l: int, params) -> tuple:
@@ -201,22 +247,43 @@ def _sl_chart_g(l: int, params) -> list:
 
 def _sl_chart_guard(l: int, offset: int) -> Callable[[Sequence], Fraction]:
     def guard(point: Sequence) -> Fraction:
-        return _sl_chart_grid(l, [rat(p) for p in point[offset:offset + l * l - 1]])[1]
+        return _sl_chart_grid(l, point[offset:offset + l * l - 1])[1]
     return guard
+
+
+def _tangents(offset: Optional[int], size: int):
+    """(column, row, col, coefficient) terms of the tangents at the
+    identity of the size x size chart at `offset`, none for no chart:
+    E_rc off the diagonal and E_rr - E_zz on it, z = size - 1."""
+    if offset is None:
+        return
+    for idx in range(size * size - 1):
+        r, c = divmod(idx, size)
+        yield offset + idx, r, c, 1
+        if r == c:
+            yield offset + idx, size - 1, size - 1, -1
+
+
+def _orbit_param(name: str, base_count: int, output_count: int,
+                 orbit: Orbit) -> Parameterization:
+    """Phi of an orbit whose charts follow its `base_count` base parameters."""
+    spans = [(o, size) for pair in orbit.charts for o, size in zip(pair, orbit.shape)
+             if o is not None]
+    return Parameterization(
+        name, base_count + sum(s * s - 1 for _, s in spans), output_count, orbit.evaluate,
+        tuple(_sl_chart_guard(s, o) for o, s in spans),
+        tuple(i for o, s in spans for i in range(o, o + s * s - 1)), orbit)
 
 
 # -- generic small-matrix arithmetic (works on rationals and duals) ----------
 # _gmul sums from the first product; _gmul([coeffs], rows)[0] is coeffs . rows
 
 
-def _adj2(M):
-    """Inverse of a determinant-one 2x2 matrix."""
-    return [[M[1][1], -M[0][1]], [-M[1][0], M[0][0]]]
-
-
-def _act2(g1, g2, mats):
-    g2i = _adj2(g2)
-    return [_gmul(_gmul(g1, m), g2i) for m in mats]
+def _adjugate(M):
+    """Inverse of a determinant-one matrix."""
+    k = range(len(M))
+    return [[(-1) ** (i + j) * cofactor_det([[M[r][c] for c in k if c != i]
+                                             for r in k if r != j]) for j in k] for i in k]
 
 
 def _flatten_mats(mats):
@@ -226,34 +293,14 @@ def _flatten_mats(mats):
 # -- builtin parameterizations for the 2x2 family -----------------------------
 
 
-def _chart_guards_at(offsets: Sequence[int]) -> Tuple[Callable, ...]:
-    return tuple((lambda pt, o=o: 1 + rat(pt[o])) for o in offsets)
-
-
-def _saturate(pairs_eval, base_count: int):
-    """Wrap a pair evaluator with four determinant-one chart factors;
-    returns the evaluator, the chart guards and the group coordinates."""
-    offsets = range(base_count, base_count + 12, 3)
-
-    def evaluator(ps):
-        first, second = pairs_eval(ps)
-        g1, g2, h1, h2 = (_sl2_chart_g(ps[o:o + 3]) for o in offsets)
-        return _flatten_mats(_act2(g1, g2, first)) + _flatten_mats(_act2(h1, h2, second))
-    return evaluator, _chart_guards_at(offsets), tuple(range(base_count, base_count + 12))
-
-
 def _gamma_pair(name: str, n: int) -> Parameterization:
     """(A, g.A) with A free and g a pair of determinant-one charts."""
-    def evaluator(ps):
+    def base(ps):
         mats = [[[ps[4 * i], ps[4 * i + 1]], [ps[4 * i + 2], ps[4 * i + 3]]]
                 for i in range(n)]
-        g1 = _sl2_chart_g(ps[4 * n:4 * n + 3])
-        g2 = _sl2_chart_g(ps[4 * n + 3:4 * n + 6])
-        return _flatten_mats(mats) + _flatten_mats(_act2(g1, g2, mats))
-    return Parameterization(
-        name=name, param_count=4 * n + 6, output_count=8 * n,
-        evaluator=evaluator, chart_guards=_chart_guards_at([4 * n, 4 * n + 3]),
-        group_coords=tuple(range(4 * n, 4 * n + 6)))
+        return mats, mats
+    return _orbit_param(name, 4 * n, 8 * n,
+                        Orbit(base, (2, 2), ((None, None), (4 * n, 4 * n + 3))))
 
 
 def _cr_pair_eval(n: int):
@@ -307,27 +354,19 @@ def _cr_cc_pair_eval(n: int):
 def _pair_param(pair_eval_factory, name: str, n: int, saturated: bool) -> Parameterization:
     pairs, base = pair_eval_factory(n)
     if saturated:
-        evaluator, guards, group = _saturate(pairs, base)
-        return Parameterization(name, base + 12, 8 * n, evaluator, guards, group)
-
-    def evaluator(ps):
-        first, second = pairs(ps)
-        return _flatten_mats(first) + _flatten_mats(second)
-    return Parameterization(name, base, 8 * n, evaluator, ())
+        return _orbit_param(name, base, 8 * n,
+                            Orbit(pairs, (2, 2), ((base, base + 3), (base + 6, base + 9))))
+    return Parameterization(name, base, 8 * n, lambda ps: _flatten_mats(sum(pairs(ps), [])))
 
 
 # -- builtin parameterizations for the left family ---------------------------
 
 
 def _gamma_left_param(name: str, l: int, n: int) -> Parameterization:
-    def evaluator(ps):
+    def base(ps):
         rows = [list(ps[r * n:(r + 1) * n]) for r in range(l)]
-        g = _sl_chart_g(l, ps[l * n:l * n + l * l - 1])
-        return _flatten_mats([rows, _gmul(g, rows)])
-    return Parameterization(
-        name=name, param_count=l * n + l * l - 1, output_count=2 * l * n,
-        evaluator=evaluator, chart_guards=(_sl_chart_guard(l, l * n),),
-        group_coords=tuple(range(l * n, l * n + l * l - 1)))
+        return [rows], [rows]
+    return _orbit_param(name, l * n, 2 * l * n, Orbit(base, (l, n), ((None, None), (l * n, None))))
 
 
 def _nullcone_rows(l: int, n: int, ps, offset: int):

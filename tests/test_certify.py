@@ -15,6 +15,10 @@ from helpers import bareiss_rank, rand_fraction
 
 
 def test_sl2_chart_examples():
+    """The 2x2 chart is the l = 2 chart [[1+a, b], [c, (1+bc)/(1+a)]], in
+    values and in dual partials."""
+    from matsep.certify import _sl_chart_g
+    from matsep.dual import seed_point
     assert sl2_chart(0, 0, 0) == RMatrix.identity(2)
     rng = Random(808)
     for _ in range(1000):
@@ -22,6 +26,9 @@ def test_sl2_chart_examples():
         if 1 + a == 0:
             continue
         assert sl2_chart(a, b, c).det() == 1
+        assert sl2_chart(a, b, c) == RMatrix.from_rows([[1 + a, b], [c, (1 + b * c) / (1 + a)]])
+        da, db, dc = seed_point([a, b, c])
+        assert _sl_chart_g(2, [da, db, dc]) == [[1 + da, db], [dc, (1 + db * dc) / (1 + da)]]
     with pytest.raises(ChartSingularityError):
         sl2_chart(-1, 2, 3)
 
@@ -82,6 +89,21 @@ def test_certificates_reproducible_from_witness():
             assert jacobian(p, list(cert.witness_point)).rank() == cert.achieved_rank
             again = certify_dimension(p, claimed=row.claimed, trials=3, seed=7)
             assert again == cert
+
+
+def test_user_parameterization_named_gamma_is_certified_from_its_evaluator():
+    """The trial matrix follows the declaration, not the name: a user map
+    named like a builtin grouped claim is differentiated through its own
+    evaluator, at the sample with its group coordinates set to 0."""
+    seen = []
+
+    def evaluator(ps):
+        seen.append(ps[1].value)
+        return [ps[0] * ps[1], ps[0] + ps[1], 2 * ps[0]]
+    p = Parameterization("gamma", 2, 3, evaluator, group_coords=(1,))
+    cert = certify_dimension(p, 2, trials=3, seed=0)
+    assert (cert.verdict, cert.achieved_rank) == (CERTIFIED, 2)
+    assert seen == [0, 0, 0]
 
 
 def test_all_guards_singular_reports():
@@ -246,16 +268,30 @@ def test_left_evaluators_never_add_a_dual_to_int_zero(monkeypatch, l, n):
 
 # -- ranks at the identity of the group charts --------------------------------
 # certify takes each rank at the sample with its group-chart coordinates
-# set to 0; the full chart Jacobian at the sample itself is the oracle.
+# set to 0, from a matrix built off the base map that must equal the full
+# chart Jacobian there; the full chart Jacobian at the sample itself is
+# the rank oracle.
 
-_GROUPED_SIZES = [(None, n) for n in range(4, 8)] + [(2, 4), (3, 5), (4, 6), (4, 8), (5, 7)]
+_GROUPED_SIZES = [(None, n) for n in range(4, 8)] + [(2, 4), (3, 3), (3, 5), (4, 6), (4, 8), (5, 7)]
 _GROUPED = [(l, n, row.name) for l, n in _GROUPED_SIZES for row in builtin_claims(n, l)
             if builtin_parameterization(row.name, n, l).group_coords]
 
 
 def _at_identity(param, point):
+    """The point with its group coordinates set to a 0 of its own type."""
     group = set(param.group_coords)
-    return [Fraction(0) if i in group else x for i, x in enumerate(point)]
+    return [type(x)(0) if i in group else x for i, x in enumerate(point)]
+
+
+def _assert_trial_matrix_is_the_chart_jacobian(param, point):
+    """certify's matrix at the moved integer sample is `jacobian` there,
+    integer rows and scales alike, and has the full chart rank at the
+    sample."""
+    at = _at_identity(param, point)
+    built, oracle = param.orbit.identity_jacobian(at), jacobian(param, at)
+    assert built._integer_rows() == oracle._integer_rows(), param.name
+    assert built._scales == oracle._scales, param.name
+    assert built.rank() == jacobian(param, point).rank(), param.name
 
 
 def test_grouped_claims_are_the_saturations_and_graph_closures():
@@ -273,12 +309,11 @@ def test_rank_at_identity_equals_full_rank_at_sample(l, n):
             continue
         points = 0
         while points < 3:
-            point = [Fraction(rng.randint(-20, 20)) for _ in range(param.param_count)]
+            point = [rng.randint(-20, 20) for _ in range(param.param_count)]
             if any(guard(point) == 0 for guard in param.chart_guards):
                 continue
             points += 1
-            assert (jacobian(param, point).rank()
-                    == jacobian(param, _at_identity(param, point)).rank()), row.name
+            _assert_trial_matrix_is_the_chart_jacobian(param, point)
 
 
 @settings(max_examples=60)
@@ -293,10 +328,27 @@ def test_rank_at_identity_equals_full_rank_far_from_identity(case, data):
                                     min_size=len(group), max_size=len(group))))
     base = iter(data.draw(st.lists(st.integers(-20, 20), min_size=param.param_count - len(group),
                                    max_size=param.param_count - len(group))))
-    point = [Fraction(next(chart if i in group else base)) for i in range(param.param_count)]
+    point = [next(chart if i in group else base) for i in range(param.param_count)]
     assume(all(guard(point) != 0 for guard in param.chart_guards))
-    assert (jacobian(param, point).rank()
-            == jacobian(param, _at_identity(param, point)).rank())
+    _assert_trial_matrix_is_the_chart_jacobian(param, point)
+
+
+@pytest.mark.parametrize("l,n", [(None, 4), (3, 3), (4, 6)])
+def test_grouped_trials_evaluate_no_chart(l, n, monkeypatch):
+    """Every grouped claim certifies, with the same certificate, while
+    evaluating a chart raises."""
+    import matsep.certify as certify
+    grouped = [row for row in builtin_claims(n, l)
+               if builtin_parameterization(row.name, n, l).orbit]
+    expected = [certify_dimension(builtin_parameterization(row.name, n, l), row.claimed, 2, 3)
+                for row in grouped]
+
+    def no_chart(*_):
+        raise AssertionError("a grouped trial evaluated a chart")
+    monkeypatch.setattr(certify, "_sl_chart_g", no_chart)
+    assert [certify_dimension(builtin_parameterization(row.name, n, l), row.claimed, 2, 3)
+            for row in grouped] == expected
+    assert all(cert.verdict == CERTIFIED for cert in expected)
 
 
 def _flat_pairs(pairs, point):

@@ -17,7 +17,11 @@ takes the row swap, first side collapsed, and both top spans
 two-dimensional, once as text), and before each certify trial took its
 rank at the sampled point moved to the identity of its group charts
 (`certify` for all seven 2x2 claims at n = 7 and the left family at
-(l, n) = (5, 7) and (2, 4)), so ranks,
+(l, n) = (5, 7) and (2, 4)), and before each grouped certify trial built
+its matrix from the chart-free base map with no chart evaluated
+(`certify` as text for the left family at l = n = 3, where the chart
+acts on a square block, and for gamma, sat-cc and sat-cr-cc at n = 5
+with two trials), so ranks,
 minors, witness points, directions and verdicts are pinned, not
 re-derived.  Document commands run from tests/golden/,
 so the report echoes each document's bare file name.
@@ -45,6 +49,11 @@ CASES = [
     ("certify_n7_seed3.txt", ["certify", "--n", "7", "--seed", "3"]),
     ("certify_l5_n7_seed4.txt", ["certify", "--l", "5", "--n", "7", "--seed", "4"]),
     ("certify_l2_n4_seed5.txt", ["certify", "--l", "2", "--n", "4", "--seed", "5"]),
+    ("certify_l3_n3_seed6_text.txt",
+     ["certify", "--l", "3", "--n", "3", "--seed", "6", "--format", "text"]),
+    ("certify_n5_trials2_gamma_sat-cc_sat-cr-cc_seed8_text.txt",
+     ["certify", "--n", "5", "--trials", "2", "--seed", "8",
+      "--claims", "gamma,sat-cc,sat-cr-cc", "--format", "text"]),
 ]
 
 DOCUMENT_CASES = [
