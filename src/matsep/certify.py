@@ -14,32 +14,38 @@ and recorded witness point.
 
 The saturations G.C and graph closures {(A, g.A)} are the grouped
 claims, each declared once as an `Orbit`: a base map P(p), free of the
-chart coordinates t, with blocks of matrices as outputs, and the
-determinant-one charts acting on each block from the left and, by their
-inverse, from the right.  With g(t) the product of the charts and L_g
-its linear action on the outputs, Phi(p, t) = L_g(t).P(p) has
-
-    dPhi = L_g.[dP | dL(g^-1 d_t g).P].
-
+chart coordinates t, whose outputs are blocks of matrices, and per
+output block the base block it shows and the determinant-one charts
+acting on it from the left and, by their inverse, from the right (a
+graph closure shows its one block A twice, the second time moved).
+With g(t) the product of the charts and L_g its linear action on the
+outputs, Phi(p, t) = L_g(t).P(p) has dPhi = L_g.[dP | dL(g^-1 d_t g).P].
 Each chart reads its parameters off matrix entries, so it is an open
 immersion on its guarded domain and the columns g^-1 d_t g span the Lie
 algebra at every guarded t.  So the rank at (p, t) is that of
 [dP | dL(X).P] at t = 0, the identity (for a saturation, the dimension
 of T_p C + Lie(G).P(p)), and each grouped trial builds that matrix with
-no chart evaluated: the Jacobian of P, then per chart coordinate (r, c)
-of an s x s chart (row-major, bottom-right left out) with tangent
+no chart evaluated: dP once per base block, then per chart coordinate
+(r, c) of an s x s chart (row-major, bottom-right left out) with tangent
 T = E_rc off the diagonal and E_rr - E_zz on it (z = s - 1), the column
 T.M for a left chart and -M.T for a right one, M the integer values of
-P's matrices.  This is the matrix `jacobian` returns at (p, 0), entry
-for entry; Phi serves `jacobian` and the witness, the sampled point.
-The lower bound stays sound whatever is declared, since no point's rank
-exceeds the generic rank.  Every other parameterization, user ones
-included, differentiates its evaluator with `group_coords` set to 0.
+P's matrices.  A base block's later outputs are written minus its first:
+rows [0 | C - C_1], C their chart columns and C_1 the first's.  So a
+graph closure's moved copy is [0 | C], its rank #A + rank(C), and
+elimination never revisits the A columns.  Subtracting rows is
+invertible, so the rank is that of `jacobian` at (p, 0), whose matrix
+this is once the same rows are subtracted from it; Phi serves `jacobian`
+and the witness, the sampled point.  The lower bound stays sound
+whatever is declared, since no point's rank exceeds the generic rank.
+Every other parameterization, user ones included, differentiates its
+evaluator with `group_coords` set to 0.
 
-The evaluators run on integer dual numbers: each output is integer
-numerators over one shared denominator, whose partial numerators are the
-Jacobian row that the Bareiss rank reads, with no Fraction arithmetic
-and no rounding or modular shortcut.
+Each trial stays in integers from its sample to its rank: the sample is
+drawn as ints and seeded as they are, and the evaluators run on integer
+dual numbers, each output integer numerators over one shared
+denominator, whose partial numerators are the Jacobian row that the
+Bareiss rank reads, with no Fraction arithmetic and no rounding or
+modular shortcut.
 
 Each builtin claim is one row of `_LR_CLAIMS` or `_LEFT_CLAIMS`: its name,
 claimed dimension, description and parameterization factory, each called
@@ -51,13 +57,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import islice
+from functools import cached_property, partial
+from itertools import accumulate, islice
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .dual import jacobian_of
 from .errors import CertificationError, ChartSingularityError, PreconditionError
-from .matrix import RMatrix, cofactor_det, grid_product as _gmul
+from .matrix import IntegerRowMatrix, RMatrix, cofactor_det, grid_product as _gmul
 from .rational import rat
 from .sparsepoly import SparsePoly, poly_expand_det
 
@@ -70,21 +76,23 @@ FAILED = "FAILED"
 class Orbit:
     """A grouped claim's base map and the charts acting on its outputs.
 
-    `base(ps)` returns the output blocks, each a list of matrices of
+    `base(ps)` returns the base blocks, each a list of matrices of
     `shape`; it is polynomial, so its values at integer points are
-    integers.  `charts[b]` holds, for block b, the offset of the chart
-    acting from the left (rows x rows) and of the one acting from the
-    right by its inverse (cols x cols), either None.
+    integers.  Output block b is `blocks[b]` = (base block, offset of the
+    chart acting from the left, offset of the one acting from the right
+    by its inverse), either offset None; a base block may recur.
     """
 
     base: Callable[[Sequence], tuple]
     shape: Tuple[int, int]
-    charts: Tuple[Tuple[Optional[int], Optional[int]], ...]
+    blocks: Tuple[Tuple[int, Optional[int], Optional[int]], ...]
 
     def evaluate(self, ps) -> list:
-        """Phi: every block of P(p) moved by its charts."""
+        """Phi: every output block, its base block moved by its charts."""
+        mats_of = self.base(ps)
         out = []
-        for mats, (left, right) in zip(self.base(ps), self.charts):
+        for src, left, right in self.blocks:
+            mats = mats_of[src]
             if left is not None:
                 g = _sl_chart_g(self.shape[0], ps[left:])
                 mats = [_gmul(g, m) for m in mats]
@@ -94,26 +102,44 @@ class Orbit:
             out += _flatten_mats(mats)
         return out
 
+    @cached_property
+    def _chart_terms(self) -> list:
+        """(base block, first output of it?, terms) per output block: each
+        chart column entry at the identity gains coef * M[i][j] for its
+        term (row, column, i, j, coef), M each of the block's matrices.  A
+        later output also carries its base block's first terms, negated."""
+        nr, nc = self.shape
+        terms, firsts = [], {}
+        for src, left, right in self.blocks:
+            own = [(r * nc + j, col, c, j, coef) for col, r, c, coef in _tangents(left, nr)
+                   for j in range(nc)]
+            own += [(i * nc + c, col, i, r, -coef) for col, r, c, coef in _tangents(right, nc)
+                    for i in range(nr)]
+            first = firsts.setdefault(src, own)
+            terms.append((src, first is own,
+                          own if first is own else own + [(*t[:4], -t[4]) for t in first]))
+        return terms
+
     def identity_jacobian(self, at: Sequence[int]) -> RMatrix:
         """[dP | dL(X).P] at an integer point whose chart coordinates are
-        0: the matrix `jacobian` returns there, with no chart evaluated."""
-        jac = jacobian_of(lambda ps: _flatten_mats(sum(self.base(ps), [])), at)
-        # fresh rows held by no one else, zero in every chart column and,
-        # P being polynomial, over scale 1: the chart entries are M itself
-        rows = jac._integer_rows()[0]
-        nr, nc = self.shape
-        first = 0
-        for mats, (left, right) in zip(self.base(at), self.charts):
-            for m in mats:
-                out = rows[first:first + nr * nc]
-                first += nr * nc
-                for col, r, c, coef in _tangents(left, nr):
-                    for j in range(nc):
-                        out[r * nc + j][col] = coef * m[c][j]
-                for col, r, c, coef in _tangents(right, nc):
-                    for i in range(nr):
-                        out[i * nc + c][col] = -coef * m[i][r]
-        return jac
+        0, each later output of a base block minus its first (see the
+        module docstring), with no chart evaluated."""
+        size = self.shape[0] * self.shape[1]
+        mats_of = self.base(at)
+        # fresh rows over scale 1, P being polynomial, zero in the chart columns
+        dp = jacobian_of(lambda ps: _flatten_mats(sum(self.base(ps), [])), at)._integer_rows()[0]
+        starts = list(accumulate((len(mats) * size for mats in mats_of), initial=0))
+        rows = []
+        for src, first, terms in self._chart_terms:
+            mats = mats_of[src]
+            block = (dp[starts[src]:starts[src + 1]] if first
+                     else [[0] * len(at) for _ in range(len(mats) * size)])
+            for t, m in enumerate(mats):
+                out = block[t * size:(t + 1) * size]
+                for row, col, i, j, coef in terms:
+                    out[row][col] += coef * m[i][j]
+            rows += block
+        return IntegerRowMatrix(rows, len(at), [1] * len(rows))
 
 
 @dataclass(frozen=True)
@@ -125,12 +151,10 @@ class Parameterization:
     chart guards are the denominators that must not vanish at a sample.
 
     `group_coords` are the coordinates t of determinant-one charts g(t)
-    acting linearly on the outputs: the map is L_g(t).P(p), P free of t,
-    each chart reads t off matrix entries and t = 0 is the identity.
-    `certify_dimension` takes each rank at t = 0 (see the module
-    docstring): as [dP | dL(X).P] from the `orbit`, from which the
-    builtin grouped claims derive evaluator, guards and group
-    coordinates, or else as the dual Jacobian of the evaluator.
+    acting linearly on the outputs, the map L_g(t).P(p) with P free of t
+    and t = 0 the identity, where `certify_dimension` takes each rank
+    (see the module docstring): from the `orbit`, which the builtin
+    grouped claims derive all else from, or else from the evaluator.
     """
 
     name: str
@@ -176,8 +200,7 @@ def certify_dimension(param: Parameterization, claimed: int,
     """
     if trials < 1:
         raise PreconditionError("at least one trial is required")
-    best = -1
-    witness = None
+    best, witness = -1, None
     group = set(param.group_coords)
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
@@ -191,12 +214,7 @@ def certify_dimension(param: Parameterization, claimed: int,
                 "the parameterization does not land in the claimed component")
         if rank > best:
             best, witness = rank, tuple(map(Fraction, point))
-    if best == claimed:
-        verdict = CERTIFIED
-    elif best > 0:
-        verdict = LOWER_BOUND_ONLY
-    else:
-        verdict = FAILED
+    verdict = CERTIFIED if best == claimed else LOWER_BOUND_ONLY if best > 0 else FAILED
     return DimensionCertificate(param.name, claimed, best, trials, witness, verdict)
 
 
@@ -205,8 +223,7 @@ def _sample_point(param: Parameterization, rng: random.Random) -> List[int]:
         point = [rng.randint(-20, 20) for _ in range(param.param_count)]
         if all(guard(point) != 0 for guard in param.chart_guards):
             return point
-    raise ChartSingularityError(
-        f"{param.name}: all samples hit chart singularities")
+    raise ChartSingularityError(f"{param.name}: all samples hit chart singularities")
 
 
 # -- determinant-one charts --------------------------------------------------
@@ -232,12 +249,10 @@ def _sl_chart_grid(l: int, params) -> tuple:
 
 
 def _sl_chart_g(l: int, params) -> list:
-    """l x l determinant-one chart around the identity.
-
-    All entries except the bottom-right are identity plus a free
-    parameter; the bottom-right is solved from the determinant, which is
-    legitimate while the leading principal (l-1)-minor is nonzero.
-    """
+    """l x l determinant-one chart around the identity: every entry but the
+    bottom-right is identity plus a free parameter, and the bottom-right is
+    solved from the determinant, legitimate while the leading principal
+    (l-1)-minor is nonzero."""
     grid, minor = _sl_chart_grid(l, params)
     grid[l - 1][l - 1] = 0
     rest = cofactor_det(grid)
@@ -267,7 +282,7 @@ def _tangents(offset: Optional[int], size: int):
 def _orbit_param(name: str, base_count: int, output_count: int,
                  orbit: Orbit) -> Parameterization:
     """Phi of an orbit whose charts follow its `base_count` base parameters."""
-    spans = [(o, size) for pair in orbit.charts for o, size in zip(pair, orbit.shape)
+    spans = [(o, size) for _, *pair in orbit.blocks for o, size in zip(pair, orbit.shape)
              if o is not None]
     return Parameterization(
         name, base_count + sum(s * s - 1 for _, s in spans), output_count, orbit.evaluate,
@@ -296,34 +311,31 @@ def _flatten_mats(mats):
 def _gamma_pair(name: str, n: int) -> Parameterization:
     """(A, g.A) with A free and g a pair of determinant-one charts."""
     def base(ps):
-        mats = [[[ps[4 * i], ps[4 * i + 1]], [ps[4 * i + 2], ps[4 * i + 3]]]
-                for i in range(n)]
-        return mats, mats
+        return ([[[ps[4 * i], ps[4 * i + 1]], [ps[4 * i + 2], ps[4 * i + 3]]] for i in range(n)],)
     return _orbit_param(name, 4 * n, 8 * n,
-                        Orbit(base, (2, 2), ((None, None), (4 * n, 4 * n + 3))))
+                        Orbit(base, (2, 2), ((0, None, None), (0, 4 * n, 4 * n + 3))))
+
+
+def _cr_pairs(a, b, b2, d2, lam) -> tuple:
+    """Row-pattern pairs ([[a, b], [0, lam d']], [[lam a, b'], [0, d']])."""
+    return ([[[x, y], [0, lam * w]] for x, y, w in zip(a, b, d2)],
+            [[[lam * x, y], [0, w]] for x, y, w in zip(a, b2, d2)])
 
 
 def _cr_pair_eval(n: int):
     """Row-pattern pairs from (a, b, b', d', lam)."""
     def pairs(ps):
-        a, b = ps[0:n], ps[n:2 * n]
-        b2, d2 = ps[2 * n:3 * n], ps[3 * n:4 * n]
-        lam = ps[4 * n]
-        first = [[[a[i], b[i]], [0, lam * d2[i]]] for i in range(n)]
-        second = [[[lam * a[i], b2[i]], [0, d2[i]]] for i in range(n)]
-        return first, second
+        return _cr_pairs(*(ps[k * n:(k + 1) * n] for k in range(4)), ps[4 * n])
     return pairs, 4 * n + 1
 
 
 def _cc_pair_eval(n: int):
     """Column-pattern pairs from (a, a', b, b', lam)."""
     def pairs(ps):
-        a, a2 = ps[0:n], ps[n:2 * n]
-        b, b2 = ps[2 * n:3 * n], ps[3 * n:4 * n]
+        a, a2, b, b2 = (ps[k * n:(k + 1) * n] for k in range(4))
         lam = ps[4 * n]
-        first = [[[a[i], b[i]], [0, lam * a2[i]]] for i in range(n)]
-        second = [[[a2[i], b2[i]], [0, lam * a[i]]] for i in range(n)]
-        return first, second
+        return ([[[x, y], [0, lam * w]] for x, y, w in zip(a, b, a2)],
+                [[[w, y], [0, lam * x]] for x, y, w in zip(a, b2, a2)])
     return pairs, 4 * n + 1
 
 
@@ -332,11 +344,7 @@ def _span_cr_pair_eval(n: int):
     def pairs(ps):
         u = [ps[0:n], ps[n:2 * n], ps[2 * n:3 * n]]
         c = ps[3 * n:3 * n + 12]
-        lam = ps[3 * n + 12]
-        a, b, b2, d2 = (_gmul([c[o:o + 3]], u)[0] for o in (0, 3, 6, 9))
-        first = [[[a[i], b[i]], [0, lam * d2[i]]] for i in range(n)]
-        second = [[[lam * a[i], b2[i]], [0, d2[i]]] for i in range(n)]
-        return first, second
+        return _cr_pairs(*(_gmul([c[o:o + 3]], u)[0] for o in (0, 3, 6, 9)), ps[3 * n + 12])
     return pairs, 3 * n + 13
 
 
@@ -345,9 +353,8 @@ def _cr_cc_pair_eval(n: int):
     def pairs(ps):
         a, b, b2 = ps[0:n], ps[n:2 * n], ps[2 * n:3 * n]
         lam, mu = ps[3 * n], ps[3 * n + 1]
-        first = [[[a[i], b[i]], [0, mu * (lam * a[i])]] for i in range(n)]
-        second = [[[lam * a[i], b2[i]], [0, mu * a[i]]] for i in range(n)]
-        return first, second
+        return ([[[x, y], [0, mu * (lam * x)]] for x, y in zip(a, b)],
+                [[[lam * x, y], [0, mu * x]] for x, y in zip(a, b2)])
     return pairs, 3 * n + 2
 
 
@@ -355,7 +362,7 @@ def _pair_param(pair_eval_factory, name: str, n: int, saturated: bool) -> Parame
     pairs, base = pair_eval_factory(n)
     if saturated:
         return _orbit_param(name, base, 8 * n,
-                            Orbit(pairs, (2, 2), ((base, base + 3), (base + 6, base + 9))))
+                            Orbit(pairs, (2, 2), ((0, base, base + 3), (1, base + 6, base + 9))))
     return Parameterization(name, base, 8 * n, lambda ps: _flatten_mats(sum(pairs(ps), [])))
 
 
@@ -364,9 +371,9 @@ def _pair_param(pair_eval_factory, name: str, n: int, saturated: bool) -> Parame
 
 def _gamma_left_param(name: str, l: int, n: int) -> Parameterization:
     def base(ps):
-        rows = [list(ps[r * n:(r + 1) * n]) for r in range(l)]
-        return [rows], [rows]
-    return _orbit_param(name, l * n, 2 * l * n, Orbit(base, (l, n), ((None, None), (l * n, None))))
+        return ([[list(ps[r * n:(r + 1) * n]) for r in range(l)]],)
+    return _orbit_param(name, l * n, 2 * l * n,
+                        Orbit(base, (l, n), ((0, None, None), (0, l * n, None))))
 
 
 def _nullcone_rows(l: int, n: int, ps, offset: int):
@@ -376,18 +383,13 @@ def _nullcone_rows(l: int, n: int, ps, offset: int):
     return rows + _gmul([coeffs], rows)
 
 
-def _nullcone_left_param(name: str, l: int, n: int) -> Parameterization:
-    def evaluator(ps):
-        return _flatten_mats([_nullcone_rows(l, n, ps, 0)])
-    return Parameterization(name, (l - 1) * (n + 1), l * n, evaluator)
-
-
-def _nullcone_pair_left_param(name: str, l: int, n: int) -> Parameterization:
-    half = (l - 1) * (n + 1)
+def _nullcone_left_param(name: str, l: int, n: int, copies: int = 1) -> Parameterization:
+    """`copies` independent nullcone points, stacked."""
+    each = (l - 1) * (n + 1)
 
     def evaluator(ps):
-        return _flatten_mats([_nullcone_rows(l, n, ps, 0), _nullcone_rows(l, n, ps, half)])
-    return Parameterization(name, 2 * half, 2 * l * n, evaluator)
+        return _flatten_mats([_nullcone_rows(l, n, ps, k * each) for k in range(copies)])
+    return Parameterization(name, copies * each, copies * l * n, evaluator)
 
 
 def _z_left_param(name: str, l: int, n: int) -> Parameterization:
@@ -434,7 +436,7 @@ _LEFT_CLAIMS = (
     ("nullcone-left", lambda l, n: (l - 1) * (n + 1), "left-action nullcone",
      _nullcone_left_param),
     ("nullcone-pair-left", lambda l, n: 2 * (l - 1) * (n + 1),
-     "pairs of left-action nullcone points", _nullcone_pair_left_param),
+     "pairs of left-action nullcone points", partial(_nullcone_left_param, copies=2)),
     ("z-left", lambda l, n: l * n + l * l - 2,
      "stacked matrices with both blocks rank-deficient and joint rank <= l",
      _z_left_param),

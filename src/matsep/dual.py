@@ -18,7 +18,9 @@ read as reduced Fractions, the partials as the dense tuple.
 A Jacobian row is then an integer vector over one denominator, so
 `jacobian_of` hands the partial numerators to an `IntegerRowMatrix` as
 the row's integer form; rank and det start from it, and the Fraction
-entries are built only if someone reads them.
+entries are built only if someone reads them.  The guards and the seeds
+read each point coordinate once, an int as it is and anything else
+through `rat`, so an integer point builds no Fraction at all.
 """
 
 from __future__ import annotations
@@ -97,14 +99,6 @@ class DualScalar:
 
     def __rtruediv__(self, other) -> "DualScalar":
         return _quotient(self.nparams, *_parts(other, self.nparams), self._n, self._d, self._q)
-
-    def __pow__(self, k: int) -> "DualScalar":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = DualScalar.constant(1, self.nparams)
-        for _ in range(k):
-            result = result * self
-        return result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DualScalar):
@@ -198,11 +192,17 @@ def _merge(d: dict, e: dict, a: int, b: int) -> dict:
     return out
 
 
+def _seeded(point: Sequence) -> tuple:
+    """The point with each coordinate read once, an int as it is and
+    anything else by `rat`, and its duals x_i + e_i over x_i's denominator."""
+    pt = [x if type(x) is int else rat(x) for x in point]
+    k = len(pt)
+    return pt, [_make(k, x.numerator, {i: x.denominator}, x.denominator) for i, x in enumerate(pt)]
+
+
 def seed_point(point: Sequence) -> list:
     """Duals for a parameter vector, one independent direction each."""
-    pt = [rat(x) for x in point]
-    k = len(pt)
-    return [DualScalar.variable(v, i, k) for i, v in enumerate(pt)]
+    return _seeded(point)[1]
 
 
 def jacobian_of(evaluator: Callable, point: Sequence,
@@ -213,13 +213,13 @@ def jacobian_of(evaluator: Callable, point: Sequence,
     and det skip the row scaling.  Raises ChartSingularityError if any
     chart denominator vanishes there.
     """
-    pt = [rat(x) for x in point]
+    pt, seeds = _seeded(point)
     for guard in guards:
         if guard(pt) == 0:
             raise ChartSingularityError("chart denominator vanishes at the point")
     k = len(pt)
     rows, scales = [], []
-    for out in evaluator(seed_point(pt)):
+    for out in evaluator(seeds):
         row = [0] * k
         if isinstance(out, DualScalar):
             for i, p in out._d.items():

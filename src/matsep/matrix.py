@@ -62,9 +62,6 @@ class RMatrix:
     def row(self, r: int) -> tuple:
         return self.entries[r * self.cols:(r + 1) * self.cols]
 
-    def col(self, c: int) -> tuple:
-        return tuple(self.entries[r * self.cols + c] for r in range(self.rows))
-
     def to_rows(self) -> list:
         return [list(self.row(r)) for r in range(self.rows)]
 

@@ -283,13 +283,32 @@ def _at_identity(param, point):
     return [type(x)(0) if i in group else x for i, x in enumerate(point)]
 
 
+def _block_reduced(orbit, at, jac):
+    """`jac`'s integer rows with each repeat of a base block taken minus
+    the rows of that block's first output."""
+    nr, nc = orbit.shape
+    sizes = [len(mats) * nr * nc for mats in orbit.base(at)]
+    rows, scales = jac._integer_rows()[0], jac._scales
+    first, out, start = {}, [], 0
+    for src, _, _ in orbit.blocks:
+        block = range(start, start + sizes[src])
+        start += sizes[src]
+        if src in first:
+            assert [scales[r] for r in block] == [scales[r] for r in first[src]]
+            out += [[a - b for a, b in zip(rows[r], rows[f])] for r, f in zip(block, first[src])]
+        else:
+            first[src] = block
+            out += [rows[r] for r in block]
+    return out
+
+
 def _assert_trial_matrix_is_the_chart_jacobian(param, point):
-    """certify's matrix at the moved integer sample is `jacobian` there,
-    integer rows and scales alike, and has the full chart rank at the
-    sample."""
+    """certify's matrix at the moved integer sample is `jacobian` there
+    with each repeated base block's first-output rows subtracted, integer
+    rows and scales alike, and has the full chart rank at the sample."""
     at = _at_identity(param, point)
     built, oracle = param.orbit.identity_jacobian(at), jacobian(param, at)
-    assert built._integer_rows() == oracle._integer_rows(), param.name
+    assert built._integer_rows()[0] == _block_reduced(param.orbit, at, oracle), param.name
     assert built._scales == oracle._scales, param.name
     assert built.rank() == jacobian(param, point).rank(), param.name
 
@@ -331,6 +350,30 @@ def test_rank_at_identity_equals_full_rank_far_from_identity(case, data):
     point = [next(chart if i in group else base) for i in range(param.param_count)]
     assume(all(guard(point) != 0 for guard in param.chart_guards))
     _assert_trial_matrix_is_the_chart_jacobian(param, point)
+
+
+def _polynomial_base(ps):
+    """One base block of two 2x2 matrices, polynomial in three parameters,
+    so its Jacobian D is not the identity."""
+    return ([[[ps[0] * ps[1], ps[0] + ps[2]], [ps[1] * ps[2], ps[0]]],
+             [[ps[2] * ps[2], ps[1]], [ps[0] - ps[1], ps[0] * ps[2]]]],)
+
+
+@pytest.mark.parametrize("blocks", [((0, None, None), (0, 3, 6)), ((0, 3, None), (0, None, 6))],
+                         ids=["chart-free-first", "charted-first"])
+def test_user_orbit_repeating_a_polynomial_block(blocks):
+    """A user-declared orbit whose repeated base block is a polynomial map:
+    each trial's rank is the rank of the full chart Jacobian at its sample,
+    and the built matrix is that Jacobian at the moved sample with the
+    repeat's first-output rows subtracted, entry for entry."""
+    from matsep.certify import Orbit, _orbit_param
+    param = _orbit_param("user", 3, 16, Orbit(_polynomial_base, (2, 2), blocks))
+    assert param.group_coords == tuple(range(3, 9))
+    for seed in range(12):
+        cert = certify_dimension(param, param.param_count, trials=1, seed=seed)
+        point = [int(x) for x in cert.witness_point]
+        assert cert.achieved_rank == jacobian(param, point).rank() > 3
+        _assert_trial_matrix_is_the_chart_jacobian(param, point)
 
 
 @pytest.mark.parametrize("l,n", [(None, 4), (3, 3), (4, 6)])

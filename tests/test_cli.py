@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matsep import parse_rational
+from matsep import builtin_claims, parse_rational
 from matsep.cli import document_to_json, load_document, main
 
 
@@ -324,6 +324,35 @@ def test_counts_exits_0_or_3_with_one_precondition_line(n, l):
     else:
         assert (code, out) == (3, "")
         assert err.startswith("precondition violated: ") and err.count("\n") == 1
+
+
+_CLAIM_FAMILIES = [[row.name for row in builtin_claims(n, l)] for n, l in ((4, None), (2, 2))]
+
+
+@settings(max_examples=200)
+@given(n=st.integers(-2, 7), l=st.none() | st.integers(-2, 5), trials=st.integers(-1, 2),
+       seed=st.integers(),
+       claims=st.none() | st.sampled_from(["", "bogus"])
+       | st.sampled_from(_CLAIM_FAMILIES).flatmap(
+           lambda names: st.lists(st.sampled_from(names), min_size=1, unique=True)).map(",".join))
+def test_certify_exits_with_a_report_or_one_precondition_line(n, l, trials, seed, claims):
+    """Sizes, trial counts and claim lists in and out of range end in a
+    report (0), one precondition line (3), or, when a sample of one or
+    two trials falls short of the claimed rank, the report and one
+    certification-failure line (4); never a traceback."""
+    argv = ["certify", "--n", str(n), "--trials", str(trials), "--seed", str(seed)]
+    argv += [] if l is None else ["--l", str(l)]
+    argv += [] if claims is None else ["--claims", claims]
+    code, out, err = run_cli(argv)
+    if code == 3:
+        assert out == ""
+        assert err.startswith("precondition violated: ") and err.count("\n") == 1
+        return
+    assert json.loads(out)["result"]["certificates"]
+    if code == 0:
+        assert err == ""
+    else:
+        assert (code, err) == (4, "certification failure: not all claims certified\n")
 
 
 def test_graph_separated_upper_pair_is_precondition_error(tmp_path):

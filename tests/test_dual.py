@@ -342,3 +342,57 @@ def test_builtin_evaluators_build_no_fraction(l, n):
         got = [list(o.partials) if isinstance(o, DualScalar) else [0] * len(point)
                for o in outs]
         assert got == dense_jacobian(param.evaluator, point).to_rows()
+
+
+def _int_point(param, rng):
+    """A seeded int point off every chart singularity."""
+    while True:
+        point = [rng.randint(-20, 20) for _ in range(param.param_count)]
+        if all(guard(point) != 0 for guard in param.chart_guards):
+            return point
+
+
+def test_point_forms_give_one_jacobian():
+    """An integer point given as ints, Fractions or rational strings, and a
+    fractional point given as Fractions or strings, each seed the same
+    integer rows and scales."""
+    rng = Random(545)
+    for l, n in ((None, 4), (3, 5)):
+        for row in builtin_claims(n, l):
+            param = builtin_parameterization(row.name, n, l)
+            point = _int_point(param, rng)
+            fractional = _oracle_points(param, rng, count=1)[0]
+            for forms in ((point, [Fraction(x) for x in point], [str(x) for x in point]),
+                          (fractional, [str(x) for x in fractional])):
+                first, *rest = [jacobian(param, form) for form in forms]
+                for jac in rest:
+                    assert jac._integer_rows() == first._integer_rows(), row.name
+                    assert jac._scales == first._scales, row.name
+    x, y = seed_point(["3", "-7/2"])
+    assert (x.value, y.value, y.partials) == (3, Fraction(-7, 2), (0, 1))
+
+
+@pytest.mark.parametrize("l,n", [(None, 5), (4, 6)])
+def test_integer_points_seed_no_fraction(l, n):
+    """With Fraction construction and arithmetic disabled, `jacobian_of`
+    on an all-int point, chart guards included, builds no Fraction; its
+    rows are those of the same point given as Fractions."""
+    rng = Random(550 + n)
+    params = [builtin_parameterization(row.name, n, l) for row in builtin_claims(n, l)]
+    points = [_int_point(param, rng) for param in params]
+
+    def forbidden(*_, **__):
+        raise AssertionError("Fraction built while seeding an integer point")
+    saved = {name: Fraction.__dict__[name] for name in _FRACTION_ARITHMETIC}
+    try:
+        for name in _FRACTION_ARITHMETIC:
+            setattr(Fraction, name, staticmethod(forbidden) if name == "__new__" else forbidden)
+        jacs = [jacobian_of(param.evaluator, point, param.chart_guards)
+                for param, point in zip(params, points)]
+    finally:
+        for name, value in saved.items():
+            setattr(Fraction, name, value)
+    for param, point, jac in zip(params, points, jacs):
+        oracle = jacobian(param, [Fraction(x) for x in point])
+        assert jac._integer_rows() == oracle._integer_rows(), param.name
+        assert jac._scales == oracle._scales, param.name

@@ -21,7 +21,9 @@ rank at the sampled point moved to the identity of its group charts
 its matrix from the chart-free base map with no chart evaluated
 (`certify` as text for the left family at l = n = 3, where the chart
 acts on a square block, and for gamma, sat-cc and sat-cr-cc at n = 5
-with two trials), so ranks,
+with two trials), and before each graph closure's repeated block was
+written minus its first output (`certify` for gamma at n = 8 and
+gamma-left at (l, n) = (4, 8)), so ranks,
 minors, witness points, directions and verdicts are pinned, not
 re-derived.  Document commands run from tests/golden/,
 so the report echoes each document's bare file name.
@@ -54,6 +56,9 @@ CASES = [
     ("certify_n5_trials2_gamma_sat-cc_sat-cr-cc_seed8_text.txt",
      ["certify", "--n", "5", "--trials", "2", "--seed", "8",
       "--claims", "gamma,sat-cc,sat-cr-cc", "--format", "text"]),
+    ("certify_l4_n8_gamma-left_seed9.txt",
+     ["certify", "--l", "4", "--n", "8", "--claims", "gamma-left", "--seed", "9"]),
+    ("certify_n8_gamma_seed9.txt", ["certify", "--n", "8", "--claims", "gamma", "--seed", "9"]),
 ]
 
 DOCUMENT_CASES = [
