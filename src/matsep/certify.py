@@ -63,7 +63,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .dual import jacobian_of
 from .errors import CertificationError, ChartSingularityError, PreconditionError
-from .matrix import IntegerRowMatrix, RMatrix, cofactor_det, grid_product as _gmul
+from .matrix import (IntegerRowMatrix, RMatrix, adjugate, cofactor_det,
+                     grid_product as _gmul)
 from .rational import rat
 from .sparsepoly import SparsePoly, poly_expand_det
 
@@ -97,7 +98,7 @@ class Orbit:
                 g = _sl_chart_g(self.shape[0], ps[left:])
                 mats = [_gmul(g, m) for m in mats]
             if right is not None:
-                h = _adjugate(_sl_chart_g(self.shape[1], ps[right:]))
+                h = adjugate(_sl_chart_g(self.shape[1], ps[right:]))
                 mats = [_gmul(m, h) for m in mats]
             out += _flatten_mats(mats)
         return out
@@ -292,13 +293,6 @@ def _orbit_param(name: str, base_count: int, output_count: int,
 
 # -- generic small-matrix arithmetic (works on rationals and duals) ----------
 # _gmul sums from the first product; _gmul([coeffs], rows)[0] is coeffs . rows
-
-
-def _adjugate(M):
-    """Inverse of a determinant-one matrix."""
-    k = range(len(M))
-    return [[(-1) ** (i + j) * cofactor_det([[M[r][c] for c in k if c != i]
-                                             for r in k if r != j]) for j in k] for i in k]
 
 
 def _flatten_mats(mats):

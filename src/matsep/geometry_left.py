@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Tuple
 
 from .errors import PreconditionError, ShapeError
 from .invariants import LeftMatrix
 from .laurent import LaurentMatrix, LaurentPoly
-from .matrix import RMatrix, stack_rows
+from .matrix import RMatrix, _bareiss, stack_rows
 from .separation import GroupElementL
 
 
@@ -84,31 +85,19 @@ def graph_member_l23(A: LeftMatrix, A2: LeftMatrix) -> bool:
 def echelon_sl(A: LeftMatrix) -> Tuple[GroupElementL, LeftMatrix]:
     """Row echelon form reached inside the determinant-one group.
 
-    Each row swap negates one of the swapped rows, so the accumulated
-    transform always has determinant one.
+    The forward Bareiss kernel runs on [L A | L I], L the lcm of A's
+    denominators, with pivots in A's columns only.  Each row swap negates
+    the row it moves up, so the accumulated transform always has
+    determinant one; row r over div[r] L is the Gaussian row of [R | g].
     """
     l, n = A.l, A.n
-    m = A.matrix.to_rows()
-    g = RMatrix.identity(l).to_rows()
-    piv_r = 0
-    for piv_c in range(n):
-        if piv_r == l:
-            break
-        pr = next((r for r in range(piv_r, l) if m[r][piv_c] != 0), None)
-        if pr is None:
-            continue
-        if pr != piv_r:
-            m[pr], m[piv_r] = m[piv_r], [-e for e in m[pr]]
-            g[pr], g[piv_r] = g[piv_r], [-e for e in g[pr]]
-        p = m[piv_r][piv_c]
-        for r in range(piv_r + 1, l):
-            if m[r][piv_c] == 0:
-                continue
-            f = m[r][piv_c] / p
-            m[r] = [e - f * q for e, q in zip(m[r], m[piv_r])]
-            g[r] = [e - f * q for e, q in zip(g[r], g[piv_r])]
-        piv_r += 1
-    return GroupElementL(RMatrix.from_rows(g)), LeftMatrix(RMatrix.from_rows(m))
+    scale = lcm(*(e.denominator for e in A.matrix.entries))
+    grid = [[e.numerator * (scale // e.denominator) for e in A.matrix.row(r)]
+            + [scale * (c == r) for c in range(l)] for r in range(l)]
+    rows, _, div = _bareiss(grid, n)
+    reduced = [[Fraction(e, d * scale) for e in row] for row, d in zip(rows, div)]
+    return (GroupElementL(RMatrix(l, l, [e for row in reduced for e in row[n:]])),
+            LeftMatrix(RMatrix(l, n, [e for row in reduced for e in row[:n]])))
 
 
 def reduced_form_single(A: RMatrix) -> Tuple[int, Optional[Fraction]]:

@@ -29,7 +29,7 @@ from typing import FrozenSet, List, Optional, Tuple
 from .binform import BinaryForm, binary_form_gcd, rational_projective_roots
 from .errors import PreconditionError, ShapeError
 from .invariants import MatrixTupleLR, generator_blocks
-from .matrix import RMatrix, stack_rows
+from .matrix import RMatrix, adjugate, stack_rows
 from .separation import GroupElementLR, act_lr, separated_lr
 
 ProjectivePoint = Tuple[Fraction, Fraction]
@@ -165,7 +165,7 @@ def triangularizer_for_direction(A: MatrixTupleLR, v: ProjectivePoint) -> GroupE
     else:
         w = (Fraction(1), Fraction(0))
         g1 = RMatrix(2, 2, [Fraction(0), Fraction(-1), w[0], w[1]])
-    return GroupElementLR(g1, h.inverse())
+    return GroupElementLR(g1, RMatrix.from_rows(adjugate(h.to_rows())))
 
 
 def is_stable_lr(A: MatrixTupleLR) -> StabilityReport:

@@ -1,18 +1,22 @@
 """Exact rational matrices with fraction-free elimination.
 
-Rank and determinant clear denominators row by row and then run one
-Bareiss-style integer elimination, so every intermediate value is an
-exact minor of the scaled matrix and entry growth stays polynomial.
+One Bareiss-style integer kernel, `_bareiss`, serves rank, determinant,
+`rref` (and through it nullspace and inverse) and `echelon_sl`.  Rows are
+cleared of denominators first, so every intermediate value is an exact
+minor of the scaled matrix and entry growth stays polynomial.  A row swap
+negates the row it moves up, so every transform has determinant one.
 A row whose entry in the pivot column is zero is skipped, not rewritten:
 with p_j the pivot of step j and p_{-1} = 1, a row last brought to step
 k equals its step-s Bareiss row times p_{k-1} / p_{s-1}, so the one
 exact factor p_{s-1} / p_{k-1} catches it up when a later pivot column
-needs it.  Pivots, row swaps and signs are those of eager Bareiss.
+needs it.  Going forward only, row r is `div[r]` times the row that
+Gaussian elimination with the same pivots and swaps leaves in its place.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm, prod
 from typing import Iterable, Sequence
 
@@ -142,7 +146,7 @@ class RMatrix:
 
     def rank(self) -> int:
         """Exact rank via fraction-free (Bareiss) elimination."""
-        return _bareiss(self._integer_rows()[0], self.cols)[0]
+        return len(_bareiss(self._integer_rows()[0], self.cols)[1])
 
     def det(self) -> Fraction:
         """Exact determinant (Bareiss for sizes above three)."""
@@ -163,27 +167,12 @@ class RMatrix:
         return Fraction(integer_det(rows), scale)
 
     def rref(self) -> tuple:
-        """Reduced row echelon form; returns (rows, pivot column list)."""
-        m = self.to_rows()
-        nr, nc = self.rows, self.cols
-        pivots = []
-        piv_r = 0
-        for piv_c in range(nc):
-            if piv_r == nr:
-                break
-            pr = next((r for r in range(piv_r, nr) if m[r][piv_c] != 0), None)
-            if pr is None:
-                continue
-            m[pr], m[piv_r] = m[piv_r], m[pr]
-            p = m[piv_r][piv_c]
-            m[piv_r] = [e / p for e in m[piv_r]]
-            for r in range(nr):
-                if r != piv_r and m[r][piv_c] != 0:
-                    f = m[r][piv_c]
-                    m[r] = [e - f * q for e, q in zip(m[r], m[piv_r])]
-            pivots.append(piv_c)
-            piv_r += 1
-        return m, pivots
+        """Reduced row echelon form; returns (rows, pivot column list).
+        Each pivot row of the upward kernel is a multiple of its reduced
+        row, so dividing by its pivot entry reduces it."""
+        rows, pivots, _ = _bareiss(self._integer_rows()[0], self.cols, upward=True)
+        reduced = [[Fraction(e, row[c]) for e in row] for row, c in zip(rows, pivots)]
+        return reduced + [[Fraction(0)] * self.cols for _ in rows[len(pivots):]], pivots
 
     def nullspace(self) -> list:
         """Basis of the right kernel, as tuples of Fractions."""
@@ -246,55 +235,69 @@ class IntegerRowMatrix(RMatrix):
         return self._entries
 
 
-def _bareiss(rows: list, nc: int) -> tuple:
+def _bareiss(rows: list, pivot_cols: int, upward: bool = False) -> tuple:
     """Bareiss elimination of a copy of the integer rows that skips every
-    row with a zero in the pivot column; returns (rank, sign of the row
-    swaps, last pivot).
+    row with a zero in the pivot column; returns (rows, pivot columns,
+    div).  Pivots are searched in the first `pivot_cols` columns only,
+    and every row operation spans the whole row.
 
     `div[r]` is p_{k-1}, where k is the step row r was last brought to.
-    A pivot row is caught up to the current step by `* prev // div[r]`;
-    any other row takes its next step straight from step k, which
-    divides by its own `div[r]` where eager Bareiss divides by `prev`.
+    A pivot row is caught up to the current step by `* prev // div[r]`
+    and stored so; any other row takes its next step straight from step
+    k, which divides by its own `div[r]` where eager Bareiss divides by
+    `prev`.  With `upward` the rows above each pivot are cleared too
+    (fraction-free Gauss-Jordan), every pivot row counts as brought to
+    its own step, and each pivot row ends as a multiple of its reduced
+    row.  A square grid of full rank ends with its determinant as the
+    last pivot.
     """
     m = [row[:] for row in rows]
     nr = len(m)
+    nc = len(m[0]) if m else 0
     div = [1] * nr
-    sign = prev = 1
+    pivots = []
+    prev = 1
     piv_r = 0
-    for piv_c in range(nc):
+    for piv_c in range(pivot_cols):
         if piv_r == nr:
             break
         pr = next((r for r in range(piv_r, nr) if m[r][piv_c]), None)
         if pr is None:
             continue
         if pr != piv_r:
-            m[pr], m[piv_r] = m[piv_r], m[pr]
+            m[pr], m[piv_r] = m[piv_r], [-e for e in m[pr]]
             div[pr], div[piv_r] = div[piv_r], div[pr]
-            sign = -sign
         top = m[piv_r]
         if div[piv_r] != prev:
-            top = [e * prev // div[piv_r] for e in top]
+            top = m[piv_r] = [e * prev // div[piv_r] for e in top]
         p = top[piv_c]
-        for r in range(piv_r + 1, nr):
+        div[piv_r] = p if upward else prev
+        start, clear = piv_c + 1, range(piv_r + 1, nr)
+        if upward:
+            start, clear = 0, chain(range(piv_r), clear)
+        for r in clear:
             row = m[r]
             f = row[piv_c]
             if f:
                 d = div[r]
-                for c in range(piv_c + 1, nc):
+                for c in range(start, nc):
                     row[c] = (p * row[c] - f * top[c]) // d
                 row[piv_c] = 0
                 div[r] = p
         prev = p
+        pivots.append(piv_c)
         piv_r += 1
-    return piv_r, sign, prev
+    return m, pivots, div
 
 
 def integer_det(grid: list) -> int:
     """Determinant of a square grid of integers by the Bareiss kernel; the
     grid is not modified."""
     n = len(grid)
-    rank, sign, last = _bareiss(grid, n)
-    return sign * last if rank == n else 0
+    rows, pivots, _ = _bareiss(grid, n)
+    if len(pivots) < n:
+        return 0
+    return rows[-1][-1] if n else 1
 
 
 def stack_rows(vectors: Sequence[Sequence]) -> RMatrix:
@@ -324,3 +327,11 @@ def cofactor_det(grid):
             term = -term
         acc = term if acc is None else acc + term
     return acc
+
+
+def adjugate(grid):
+    """Adjugate of a square grid over any commutative ring: the inverse
+    of a determinant-one matrix (rationals, dual numbers)."""
+    k = range(len(grid))
+    return [[(-1) ** (i + j) * cofactor_det([[grid[r][c] for c in k if c != i]
+                                             for r in k if r != j]) for j in k] for i in k]

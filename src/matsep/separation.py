@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 from .errors import PreconditionError, ShapeError
 from .invariants import (LeftMatrix, MatrixTupleLR, generator_blocks,
                          minor_column_sets, minors_left)
-from .matrix import RMatrix
+from .matrix import RMatrix, adjugate
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,8 @@ class GroupElementLR:
         return GroupElementLR(RMatrix.identity(2), RMatrix.identity(2))
 
     def inverse(self) -> "GroupElementLR":
-        return GroupElementLR(_inv_det1(self.g1), _inv_det1(self.g2))
+        return GroupElementLR(*(RMatrix.from_rows(adjugate(g.to_rows()))
+                                for g in (self.g1, self.g2)))
 
 
 @dataclass(frozen=True)
@@ -67,15 +68,9 @@ class SeparationReport:
             raise ValueError("witness present exactly when separated")
 
 
-def _inv_det1(g: RMatrix) -> RMatrix:
-    """Inverse of a determinant-one 2x2 matrix via the adjugate."""
-    a, b, c, d = g.entries
-    return RMatrix(2, 2, [d, -b, -c, a])
-
-
 def act_lr(g: GroupElementLR, A: MatrixTupleLR) -> MatrixTupleLR:
     """Componentwise g1 * A_i * g2^{-1}."""
-    g2_inv = _inv_det1(g.g2)
+    g2_inv = RMatrix.from_rows(adjugate(g.g2.to_rows()))
     return MatrixTupleLR(tuple(g.g1 @ m @ g2_inv for m in A.matrices))
 
 

@@ -8,7 +8,8 @@ root theorem, the det and pairing blocks, nullcone membership, the
 direction gcd and the maximal minors through Fraction loops over the
 single-value functions, derivatives through symbolic differentiation,
 Jacobians through dense and through sparse Fraction dual numbers,
-ranks and determinants through eager Bareiss elimination, Laurent
+ranks and determinants through eager Bareiss elimination, reduced and
+determinant-one echelon forms through Fraction elimination loops, Laurent
 arithmetic through one re-validated polynomial per addition, and the
 gcd of binary forms through Euclid on every form, so agreement is
 evidence rather than tautology.
@@ -492,6 +493,62 @@ def bareiss_det(matrix: RMatrix) -> Fraction:
             m[r][k] = 0
         prev = p
     return sign * m[n - 1][n - 1] / scale
+
+
+# -- Fraction elimination loops -------------------------------------------------
+
+
+def rref_by_fractions(matrix: RMatrix) -> tuple:
+    """Reduced row echelon form by Fraction Gauss-Jordan elimination;
+    returns (rows, pivot column list)."""
+    m = matrix.to_rows()
+    nr, nc = matrix.rows, matrix.cols
+    pivots = []
+    piv_r = 0
+    for piv_c in range(nc):
+        if piv_r == nr:
+            break
+        pr = next((r for r in range(piv_r, nr) if m[r][piv_c] != 0), None)
+        if pr is None:
+            continue
+        m[pr], m[piv_r] = m[piv_r], m[pr]
+        p = m[piv_r][piv_c]
+        m[piv_r] = [e / p for e in m[piv_r]]
+        for r in range(nr):
+            if r != piv_r and m[r][piv_c] != 0:
+                f = m[r][piv_c]
+                m[r] = [e - f * q for e, q in zip(m[r], m[piv_r])]
+        pivots.append(piv_c)
+        piv_r += 1
+    return m, pivots
+
+
+def echelon_sl_by_fractions(A: LeftMatrix) -> tuple:
+    """Row echelon form inside the determinant-one group by Fraction
+    Gaussian elimination: each row swap negates the row it moves up;
+    returns (GroupElementL, LeftMatrix) like `echelon_sl`."""
+    l, n = A.l, A.n
+    m = A.matrix.to_rows()
+    g = RMatrix.identity(l).to_rows()
+    piv_r = 0
+    for piv_c in range(n):
+        if piv_r == l:
+            break
+        pr = next((r for r in range(piv_r, l) if m[r][piv_c] != 0), None)
+        if pr is None:
+            continue
+        if pr != piv_r:
+            m[pr], m[piv_r] = m[piv_r], [-e for e in m[pr]]
+            g[pr], g[piv_r] = g[piv_r], [-e for e in g[pr]]
+        p = m[piv_r][piv_c]
+        for r in range(piv_r + 1, l):
+            if m[r][piv_c] == 0:
+                continue
+            f = m[r][piv_c] / p
+            m[r] = [e - f * q for e, q in zip(m[r], m[piv_r])]
+            g[r] = [e - f * q for e, q in zip(g[r], g[piv_r])]
+        piv_r += 1
+    return GroupElementL(RMatrix.from_rows(g)), LeftMatrix(RMatrix.from_rows(m))
 
 
 # -- Laurent arithmetic, one polynomial per addition ---------------------------

@@ -113,6 +113,16 @@ def test_echelon_already_reduced():
     assert R == A
 
 
+def test_echelon_sl_negates_each_row_it_moves_up():
+    """Two swaps: row 1 moves up for column 0, then the updated row 2 for
+    column 1; each moved-up row is negated, the one moved down is not."""
+    A = LeftMatrix.from_rows([[0, 0, 3, 1], [2, 1, 1, 0], [3, 1, 0, 2]])
+    g, R = echelon_sl(A)
+    h = Fraction(1, 2)
+    assert g.g == RMatrix.from_rows([[0, -1, 0], [0, 3 * h, -1], [1, 0, 0]])
+    assert R == LeftMatrix.from_rows([[-2, -1, -1, 0], [0, h, 3 * h, -2], [0, 0, 3, 1]])
+
+
 def test_reduced_form_single():
     # determinant-one scaling pairs identify diag(1,4) with diag(2,2)
     a = reduced_form_single(RMatrix.from_rows([[1, 0], [0, 4]]))

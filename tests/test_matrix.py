@@ -2,12 +2,13 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from matsep import RMatrix, ShapeError, stack_rows
-from matsep.matrix import cofactor_det
-from helpers import (bareiss_det, bareiss_rank, integer_rows_by_fraction_products,
-                     rand_fraction, rand_matrix)
+from matsep import LeftMatrix, RMatrix, ShapeError, echelon_sl, stack_rows
+from matsep.matrix import cofactor_det, integer_det
+from helpers import (bareiss_det, bareiss_rank, echelon_sl_by_fractions,
+                     integer_rows_by_fraction_products, rand_fraction, rand_matrix,
+                     rref_by_fractions)
 
 
 def test_rank_examples():
@@ -157,7 +158,9 @@ def test_det_of_wide_fractions_matches_cofactor_det():
 def _assert_kernel_matches_oracles(m: RMatrix, cofactor_up_to=6):
     rank = m.rank()
     assert rank == bareiss_rank(m)
-    assert rank == len(m.rref()[1])
+    rref = m.rref()
+    assert rref == rref_by_fractions(m)
+    assert rank == len(rref[1])
     if m.rows == m.cols:
         det = m.det()
         assert det == bareiss_det(m)
@@ -212,6 +215,8 @@ def test_kernel_on_empty_and_thin_shapes():
         assert RMatrix(0, k, []).rank() == 0
         assert RMatrix(k, 0, []).rank() == 0
     assert RMatrix(0, 0, []).det() == 1
+    assert RMatrix(0, 0, []).rref() == ([], [])
+    assert RMatrix(0, 0, []).inverse() == RMatrix(0, 0, [])
     for k in range(1, 8):
         for density in (0.0, 0.3, 1.0):
             _assert_kernel_matches_oracles(_sparse_matrix(rng, 1, k, density))
@@ -296,6 +301,15 @@ def test_det_sign_when_rows_are_swapped_past_skipped_rows():
                 _assert_kernel_matches_oracles(m, cofactor_up_to=7)
 
 
+def test_integer_det_sign_comes_from_negating_swaps():
+    transposition = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    four_cycle = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]
+    for grid in (transposition, four_cycle):
+        assert integer_det(grid) == -1
+    assert integer_det([[0, 1], [1, 0]]) == -1
+    assert integer_det([[0, 0, 1], [1, 0, 0], [0, 1, 0]]) == 1
+
+
 @st.composite
 def _sparse_integer_matrices(draw):
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
@@ -311,3 +325,56 @@ def test_kernel_property_against_oracles(m):
     assert m.rank() == bareiss_rank(m)
     if m.rows == m.cols:
         assert m.det() == (cofactor_det(m.to_rows()) if m.rows else 1)
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Shapes 0..6 by 0..6, square half the time, with fractional entries;
+    a column may be zeroed and a row may be a combination of two others."""
+    rows = draw(st.integers(0, 6))
+    cols = rows if draw(st.booleans()) else draw(st.integers(0, 6))
+    size = rows * cols
+    nums = draw(st.lists(st.one_of(st.just(0), st.integers(-9, 9)),
+                         min_size=size, max_size=size))
+    dens = draw(st.lists(st.sampled_from((1, 1, 2, 3, 7)), min_size=size, max_size=size))
+    entries = [Fraction(a, b) for a, b in zip(nums, dens)]
+    grid = [entries[r * cols:(r + 1) * cols] for r in range(rows)]
+    if cols and draw(st.booleans()):
+        zero = draw(st.integers(0, cols - 1))
+        for row in grid:
+            row[zero] = Fraction(0)
+    if rows >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(rows)))[:3]
+        s, t = (Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from((1, 2)))) for _ in "st")
+        grid[k] = [s * a + t * b for a, b in zip(grid[i], grid[j])]
+    return RMatrix(rows, cols, [e for row in grid for e in row])
+
+
+@settings(max_examples=200)
+@given(_rational_matrices())
+@example(RMatrix(0, 0, []))
+@example(RMatrix(3, 0, []))
+@example(RMatrix(0, 4, []))
+def test_elimination_property_against_fraction_loops(m):
+    reduced, pivots = rref_by_fractions(m)
+    assert m.rref() == (reduced, pivots)
+    kernel = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(int(c == fc)) for c in range(m.cols)]
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        kernel.append(tuple(v))
+    assert m.nullspace() == kernel
+    if m.rows == m.cols:
+        n = m.rows
+        aug, aug_pivots = rref_by_fractions(m.hstack(RMatrix.identity(n)))
+        if aug_pivots == list(range(n)):
+            assert m.inverse() == RMatrix(n, n, [e for row in aug for e in row[n:]])
+        else:
+            with pytest.raises(ShapeError):
+                m.inverse()
+    if m.rows >= 2:
+        g, R = echelon_sl(LeftMatrix(m))
+        g_ref, R_ref = echelon_sl_by_fractions(LeftMatrix(m))
+        assert g.g.entries == g_ref.g.entries
+        assert R.matrix.entries == R_ref.matrix.entries
