@@ -151,8 +151,9 @@ def _vec_json(vec):
 
 
 def _laurent_json(lm):
-    return [[{str(e): format_rational(c) for e, c in sorted(lm.at(r, c).terms.items())}
-             for c in range(lm.cols)] for r in range(lm.rows)]
+    grids = sorted(lm.grids.items())
+    return [[{str(e): format_rational(Fraction(g[i], lm.scale)) for e, g in grids if g[i]}
+             for i in range(r * lm.cols, (r + 1) * lm.cols)] for r in range(lm.rows)]
 
 
 def _witness_json(report):
@@ -227,12 +228,9 @@ def _graph_left(first, second) -> dict:
 
 def _curve(first, second) -> dict:
     w = witness_curve_auto(first, second)
-    la, lb = w.limits()
-    return {"g": _laurent_json(w.g_curve),
-            "a": _laurent_json(w.a_curve),
-            "a2": _laurent_json(w.a2_curve),
-            "verified": w.verify(),
-            "limits_match": la == first and lb == second}
+    return {"g": _laurent_json(w.g_curve), "a": _laurent_json(w.a_curve),
+            "a2": _laurent_json(w.a2_curve), "verified": w.verify(),
+            "limits_match": w.limits() == (first, second)}
 
 
 def _run(args) -> tuple:

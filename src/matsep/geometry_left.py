@@ -8,19 +8,23 @@ explicit one-parameter witness curves: a determinant-one Laurent matrix
 g(t) and a matrix curve A(t) with g(t) A(t) converging to the target
 pair as t -> 0.  All curve identities are checked in exact Laurent
 arithmetic, so "the limit exists" is the absence of negative exponents.
+Each curve is a sum of t^e times constant integer grids, and each constant
+factor enters as an integer grid over one scale, its inverse as the
+integer adjugate (its determinant is one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Optional, Tuple
 
 from .errors import PreconditionError, ShapeError
 from .invariants import LeftMatrix
-from .laurent import LaurentMatrix, LaurentPoly
-from .matrix import RMatrix, _bareiss, stack_rows
+from .laurent import LaurentMatrix
+from .matrix import IntegerRowMatrix, RMatrix, _bareiss, adjugate, grid_product
 from .separation import GroupElementL
 
 
@@ -37,9 +41,10 @@ class CurveWitness:
     a2_curve: LaurentMatrix
 
     def verify(self) -> bool:
-        if self.g_curve.det() != LaurentPoly.const(1):
+        g = self.g_curve
+        if g.integer_det() != {0: g.scale ** g.rows}:
             return False
-        if (self.g_curve @ self.a_curve) != self.a2_curve:
+        if (g @ self.a_curve) != self.a2_curve:
             return False
         return self.a_curve.has_limit_at_zero() and self.a2_curve.has_limit_at_zero()
 
@@ -82,22 +87,33 @@ def graph_member_l23(A: LeftMatrix, A2: LeftMatrix) -> bool:
     return graph_necessary(A, A2)
 
 
+def _integer_grid(rows) -> Tuple[list, int]:
+    """Rational rows as integer rows over their least common denominator."""
+    scale = lcm(*(e.denominator for row in rows for e in row))
+    return [[e.numerator * (scale // e.denominator) for e in row] for row in rows], scale
+
+
+def _echelon_rows(A: LeftMatrix) -> tuple:
+    """(rows, scale, pivots) of the forward Bareiss kernel on [L A | L I],
+    L the lcm of A's denominators, with pivots in A's columns only; the
+    rows over scale are the Gaussian rows [R | g]."""
+    grid, scale = _integer_grid(A.matrix.to_rows())
+    grid = [row + [scale * (c == r) for c in range(A.l)] for r, row in enumerate(grid)]
+    rows, pivots, div = _bareiss(grid, A.n)
+    q = lcm(*div)
+    return [[e * (q // d) for e in row] for row, d in zip(rows, div)], q * scale, pivots
+
+
 def echelon_sl(A: LeftMatrix) -> Tuple[GroupElementL, LeftMatrix]:
     """Row echelon form reached inside the determinant-one group.
 
-    The forward Bareiss kernel runs on [L A | L I], L the lcm of A's
-    denominators, with pivots in A's columns only.  Each row swap negates
-    the row it moves up, so the accumulated transform always has
-    determinant one; row r over div[r] L is the Gaussian row of [R | g].
+    Each row swap of the kernel negates the row it moves up, so the
+    accumulated transform g always has determinant one and g A = R.
     """
+    rows, scale, _ = _echelon_rows(A)
     l, n = A.l, A.n
-    scale = lcm(*(e.denominator for e in A.matrix.entries))
-    grid = [[e.numerator * (scale // e.denominator) for e in A.matrix.row(r)]
-            + [scale * (c == r) for c in range(l)] for r in range(l)]
-    rows, _, div = _bareiss(grid, n)
-    reduced = [[Fraction(e, d * scale) for e in row] for row, d in zip(rows, div)]
-    return (GroupElementL(RMatrix(l, l, [e for row in reduced for e in row[n:]])),
-            LeftMatrix(RMatrix(l, n, [e for row in reduced for e in row[:n]])))
+    return (GroupElementL(RMatrix(l, l, [Fraction(e, scale) for row in rows for e in row[n:]])),
+            LeftMatrix(RMatrix(l, n, [Fraction(e, scale) for row in rows for e in row[:n]])))
 
 
 def reduced_form_single(A: RMatrix) -> Tuple[int, Optional[Fraction]]:
@@ -116,19 +132,21 @@ def reduced_form_single(A: RMatrix) -> Tuple[int, Optional[Fraction]]:
 # -- witness curves ---------------------------------------------------------
 
 
-def _require_curve_inputs(A: LeftMatrix, A2: LeftMatrix):
+def _reduced_curve(A: LeftMatrix, A2: LeftMatrix, a, b, scale, ranks) -> CurveWitness:
+    """Witness curve of (A, A2) from its SL-reduced form a, b of the given
+    ranks: integer rows over one scale, related as the rational rows are."""
     if A.l not in (2, 3):
         raise PreconditionError("witness curves exist only for l = 2 or l = 3")
     if (A.l, A.n) != (A2.l, A2.n):
         raise ShapeError("pair components must have the same shape")
-    if not (nullcone_member_left(A) and nullcone_member_left(A2)):
+    if max(ranks) >= A.l:
         raise PreconditionError("not nullcone pair: a component has full rank")
-    if any(e != 0 for e in A.matrix.row(A.l - 1)) or \
-       any(e != 0 for e in A2.matrix.row(A2.l - 1)):
+    if any(a[-1]) or any(b[-1]):
         raise PreconditionError("subcase requires prior SL-reduction: "
                                 "bottom rows must be zero")
-    if stack(A, A2).rank() > A.l:
+    if len(_bareiss(a + b, A.n)[1]) > A.l:
         raise PreconditionError("stacked rank exceeds l: not in graph closure")
+    return (_curve_l2 if A.l == 2 else _curve_l3)(a, b, scale)
 
 
 def witness_curve_left(A: LeftMatrix, A2: LeftMatrix) -> CurveWitness:
@@ -139,128 +157,87 @@ def witness_curve_left(A: LeftMatrix, A2: LeftMatrix) -> CurveWitness:
     the construction branches on whether either side has a degenerate
     top-row span, with a row swap fixing the normalisation where needed.
     """
-    _require_curve_inputs(A, A2)
-    if A.l == 2:
-        return _curve_l2(A, A2)
-    return _curve_l3(A, A2)
+    rows, scale = _integer_grid(A.matrix.to_rows() + A2.matrix.to_rows())
+    return _reduced_curve(A, A2, rows[:A.l], rows[A.l:], scale,
+                          (A.matrix.rank(), A2.matrix.rank()))
 
 
-def _curve_l2(A: LeftMatrix, A2: LeftMatrix) -> CurveWitness:
-    a = A.matrix.row(0)
-    a2 = A2.matrix.row(0)
-    zero = LaurentPoly({})
-    a_curve = LaurentMatrix.from_rows([
-        [LaurentPoly.const(x) for x in a],
-        [LaurentPoly.t_power(1, y - x) for x, y in zip(a, a2)]])
-    g_curve = LaurentMatrix.from_rows([
-        [LaurentPoly.const(1), LaurentPoly.t_power(-1)],
-        [zero, LaurentPoly.const(1)]])
-    return CurveWitness(g_curve, a_curve, g_curve @ a_curve)
+def _constant(rows, scale) -> LaurentMatrix:
+    return LaurentMatrix.from_grids(len(rows), len(rows), {0: list(chain(*rows))}, scale)
 
 
-def _row_relation(r1, r2) -> Optional[Tuple[Fraction, Fraction]]:
-    """Nonzero (x, y) with x*r1 + y*r2 = 0, or None when independent."""
-    kernel = stack_rows([r1, r2]).transpose().nullspace()
-    if not kernel:
-        return None
-    x, y = kernel[0]
-    return x, y
+def _inverse(rows, scale) -> LaurentMatrix:
+    """Inverse of rows / scale, of determinant one: the adjugate of rows."""
+    return _constant(adjugate(rows), scale ** (len(rows) - 1))
 
 
-_SWAP3 = RMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+_E = [tuple(int(i == k) for i in range(9)) for k in range(9)]   # flat 3 x 3 units
+_SHEAR2 = LaurentMatrix.from_grids(2, 2, {0: (1, 0, 0, 1), -1: (0, 1, 0, 0)})
+_SHEAR3 = LaurentMatrix.from_grids(3, 3, {0: (1, 0, 0, 0, 1, 0, 0, 0, 1), -1: _E[2]})
+# [[1, 0, t^-2], [0, t, 0], [0, 0, t^-1]], pulling a collapsed side, and its inverse
+_PULL = LaurentMatrix.from_grids(3, 3, {0: _E[0], -2: _E[2], 1: _E[4], -1: _E[8]})
+_PULL_INV = LaurentMatrix.from_grids(3, 3, {0: _E[0], -1: (0, 0, -1, 0, 1, 0, 0, 0, 0), 1: _E[8]})
 
 
-def _second_row_combination(coeffs) -> RMatrix:
-    """Determinant-one transform replacing the second row of (r1; r2; 0)
-    by x*r1 + y*r2, swapping the top rows first when y vanishes."""
-    x, y = coeffs
-    if y == 0:
-        swap = _SWAP3
-        x, y = y, x
-    else:
-        swap = RMatrix.identity(3)
-    elim = RMatrix.from_rows([[1, 0, 0], [x, y, 0], [0, 0, 1 / y]])
-    return elim @ swap
+def _last_row_curve(rows, target, exp, scale) -> LaurentMatrix:
+    """The curve (rows above the last; t^exp (target - top row)), all
+    integer rows over scale; it tends to rows, whose last row is zero."""
+    top, zero = rows[0], [0] * len(rows[0]) * (len(rows) - 1)
+    return LaurentMatrix.from_grids(len(rows), len(top), {
+        0: list(chain(*rows)), exp: zero + [w - e for e, w in zip(top, target)]}, scale)
 
 
-def _degenerate_curve(full: LeftMatrix, collapsed_row) -> Tuple[LaurentMatrix, LaurentMatrix]:
-    """Curve pulling (r1; r2; 0) towards (v; 0; 0) along the graph.
-
-    Returns (x(t), g(t)) with g(t) x(t) -> (v; 0; 0) and x(t) -> full.
-    """
-    r1 = full.matrix.row(0)
-    r2 = full.matrix.row(1)
-    v = collapsed_row
-    zero = LaurentPoly({})
-    x_curve = LaurentMatrix.from_rows([
-        [LaurentPoly.const(e) for e in r1],
-        [LaurentPoly.const(e) for e in r2],
-        [LaurentPoly.t_power(2, w - e) for e, w in zip(r1, v)]])
-    g_curve = LaurentMatrix.from_rows([
-        [LaurentPoly.const(1), zero, LaurentPoly.t_power(-2)],
-        [zero, LaurentPoly.t_power(1), zero],
-        [zero, zero, LaurentPoly.t_power(-1)]])
-    return x_curve, g_curve
+def _curve_l2(a, b, scale) -> CurveWitness:
+    a_curve = _last_row_curve(a, b[0], 1, scale)
+    return CurveWitness(_SHEAR2, a_curve, _SHEAR2 @ a_curve)
 
 
-def _curve_l3(A: LeftMatrix, A2: LeftMatrix) -> CurveWitness:
-    rel_a = _row_relation(A.matrix.row(0), A.matrix.row(1))
-    rel_b = _row_relation(A2.matrix.row(0), A2.matrix.row(1))
+def _relation(*rows) -> Optional[tuple]:
+    """The first right-kernel vector of the matrix whose columns are the
+    rows, so that the rows weighted by it sum to zero, or None."""
+    grid = [list(c) for c in zip(*rows)]
+    kernel = IntegerRowMatrix(grid, len(rows), [1] * len(grid)).nullspace()
+    return kernel[0] if kernel else None
 
-    if rel_b is not None:
-        # second side collapses to a single row
-        m2 = _second_row_combination(rel_b)
-        v2 = (m2 @ A2.matrix).row(0)
-        x_curve, g_inner = _degenerate_curve(A, v2)
-        m2_inv = LaurentMatrix.from_rmatrix(m2.inverse())
-        g_curve = m2_inv @ g_inner
-        return CurveWitness(g_curve, x_curve, g_curve @ x_curve)
 
-    if rel_a is not None:
-        # first side collapses: build the mirrored curve and invert it
-        m1 = _second_row_combination(rel_a)
-        v1 = (m1 @ A.matrix).row(0)
-        x_curve, g_inner = _degenerate_curve(A2, v1)
-        zero = LaurentPoly({})
-        g_inner_inv = LaurentMatrix.from_rows([
-            [LaurentPoly.const(1), zero, LaurentPoly.t_power(-1, -1)],
-            [zero, LaurentPoly.t_power(-1), zero],
-            [zero, zero, LaurentPoly.t_power(1)]])
-        m1_inv = LaurentMatrix.from_rmatrix(m1.inverse())
-        a_curve = m1_inv @ g_inner @ x_curve
-        g_curve = g_inner_inv @ LaurentMatrix.from_rmatrix(m1)
+def _second_row_combination(x, y) -> Tuple[list, int]:
+    """Determinant-one transform, as integer rows over one scale, that
+    replaces the second row of (r1; r2; 0) by x*r1 + y*r2, swapping the
+    top rows first (and negating the third) when y vanishes."""
+    if y:
+        return _integer_grid([[1, 0, 0], [x, y, 0], [0, 0, 1 / y]])
+    return _integer_grid([[0, 1, 0], [x, 0, 0], [0, 0, -1 / x]])
+
+
+def _curve_l3(a, b, scale) -> CurveWitness:
+    rel_a, rel_b = _relation(a[0], a[1]), _relation(b[0], b[1])
+    if rel_a is not None or rel_b is not None:
+        # one side collapses to v, the top row of m times it (r1, or r2 when
+        # y vanishes): x(t) tends to the other side and _PULL(t) x(t) to (v; 0; 0)
+        full, collapsed, (x, y) = (a, b, rel_b) if rel_b is not None else (b, a, rel_a)
+        m, s = _second_row_combination(x, y)
+        x_curve = _last_row_curve(full, collapsed[0 if y else 1], 2, scale)
+        pull = _inverse(m, s) @ _PULL
+        if rel_b is not None:
+            return CurveWitness(pull, x_curve, pull @ x_curve)
+        # first side collapses: the mirrored curve, inverted
+        a_curve, g_curve = pull @ x_curve, _PULL_INV @ _constant(m, s)
         return CurveWitness(g_curve, a_curve, g_curve @ a_curve)
 
     # both top spans are two-dimensional; the stacked rank bound yields a
     # shared vector b = x*a1 + y*a2 = x2*a'1 + y2*a'2
-    cols = stack_rows([A.matrix.row(0), A.matrix.row(1),
-                       tuple(-e for e in A2.matrix.row(0)),
-                       tuple(-e for e in A2.matrix.row(1))]).transpose()
-    kernel = cols.nullspace()
-    if not kernel:
+    kernel = _relation(a[0], a[1], [-e for e in b[0]], [-e for e in b[1]])
+    if kernel is None:
         raise PreconditionError("stacked rank exceeds l: not in graph closure")
-    x, y, x2, y2 = kernel[0]
+    x, y, x2, y2 = kernel
     if (x, y) == (0, 0) or (x2, y2) == (0, 0):
         raise PreconditionError("degenerate relation: top spans not 2-dimensional")
-    m1 = _second_row_combination((x, y))
-    m2 = _second_row_combination((x2, y2))
-    red_a = m1 @ A.matrix    # rows (a1~, b, 0)
-    red_b = m2 @ A2.matrix   # rows (a'1~, b, 0)
-    zero = LaurentPoly({})
-    a_top = red_a.row(0)
-    b_top = red_b.row(0)
-    x_curve = LaurentMatrix.from_rows([
-        [LaurentPoly.const(e) for e in a_top],
-        [LaurentPoly.const(e) for e in red_a.row(1)],
-        [LaurentPoly.t_power(1, w - e) for e, w in zip(a_top, b_top)]])
-    g_inner = LaurentMatrix.from_rows([
-        [LaurentPoly.const(1), zero, LaurentPoly.t_power(-1)],
-        [zero, LaurentPoly.const(1), zero],
-        [zero, zero, LaurentPoly.const(1)]])
-    m1_inv = LaurentMatrix.from_rmatrix(m1.inverse())
-    m2_inv = LaurentMatrix.from_rmatrix(m2.inverse())
-    a_curve = m1_inv @ x_curve
-    g_curve = m2_inv @ g_inner @ LaurentMatrix.from_rmatrix(m1)
+    m1, s1 = _second_row_combination(x, y)
+    m2, s2 = _second_row_combination(x2, y2)
+    b_top = [e * s1 for e in b[0 if y2 else 1]]   # the top row a'1~ of m2 b
+    x_curve = _last_row_curve(grid_product(m1, a), b_top, 1, s1 * scale)   # m1 a = (a1~, b, 0)
+    a_curve = _inverse(m1, s1) @ x_curve
+    g_curve = _inverse(m2, s2) @ _SHEAR3 @ _constant(m1, s1)
     return CurveWitness(g_curve, a_curve, g_curve @ a_curve)
 
 
@@ -268,14 +245,16 @@ def witness_curve_auto(A: LeftMatrix, A2: LeftMatrix) -> CurveWitness:
     """Witness curve for a pair that is not yet SL-reduced.
 
     Reduces both sides to echelon form, builds the curve there, and
-    conjugates it back so the limits equal the original inputs.
+    conjugates it back so the limits equal the original inputs.  Each
+    side's rank is its number of echelon pivots.
     """
-    ga, ra = echelon_sl(A)
-    gb, rb = echelon_sl(A2)
-    w = witness_curve_left(ra, rb)
-    ga_inv = LaurentMatrix.from_rmatrix(ga.g.inverse())
-    gb_inv = LaurentMatrix.from_rmatrix(gb.g.inverse())
-    a_curve = ga_inv @ w.a_curve
-    a2_curve = gb_inv @ w.a2_curve
-    g_curve = gb_inv @ w.g_curve @ LaurentMatrix.from_rmatrix(ga.g)
-    return CurveWitness(g_curve, a_curve, a2_curve)
+    (rows_a, sa, pivots_a), (rows_b, sb, pivots_b) = _echelon_rows(A), _echelon_rows(A2)
+    scale = lcm(sa, sb)
+    rows = [[e * (scale // s) for e in row] for part, s in ((rows_a, sa), (rows_b, sb))
+            for row in part]
+    l, n = A.l, A.n
+    w = _reduced_curve(A, A2, [row[:n] for row in rows[:l]], [row[:n] for row in rows[l:]],
+                       scale, (len(pivots_a), len(pivots_b)))
+    ga, gb_inv = [row[n:] for row in rows[:l]], _inverse([row[n:] for row in rows[l:]], scale)
+    return CurveWitness(gb_inv @ w.g_curve @ _constant(ga, scale),
+                        _inverse(ga, scale) @ w.a_curve, gb_inv @ w.a2_curve)

@@ -2,18 +2,19 @@
 term-map core they share with SparsePoly.
 
 A polynomial maps exponents to nonzero Fractions, so equality is literal
-equality of term maps, and "the limit of a witness curve at t -> 0
-exists" is the absence of negative exponents.  A sum or product collects
-its terms in one dict and drops cancelled terms once at the end; a matrix
-product does so once per entry, skipping zero entries.  Results are
-wrapped unvalidated (``_wrap``); only the public constructors validate.
+equality of term maps.  A sum or product collects its terms in one dict
+and drops cancelled terms once at the end.  A matrix is one positive
+integer scale and one integer grid per exponent, so its product is one
+integer grid product per pair of exponents, normalised once.  Results are
+wrapped unvalidated; only the public constructors validate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from operator import add
+from math import gcd, lcm
+from operator import add, mul
 from typing import Dict, Iterable, Sequence
 
 from .errors import PreconditionError, ShapeError
@@ -114,34 +115,10 @@ class LaurentPoly(TermPoly):
     def const(value) -> "LaurentPoly":
         return LaurentPoly({0: rat(value)})
 
-    @staticmethod
-    def t_power(exp: int, coeff=1) -> "LaurentPoly":
-        return LaurentPoly({exp: rat(coeff)})
-
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
             return other
         return LaurentPoly.const(other)
-
-    def min_exp(self) -> int:
-        return min(self.terms, default=0)
-
-    def has_limit_at_zero(self) -> bool:
-        return self.min_exp() >= 0
-
-    def limit_at_zero(self) -> Fraction:
-        if not self.has_limit_at_zero():
-            raise PreconditionError("limit at t -> 0 does not exist")
-        return self.terms.get(0, Fraction(0))
-
-    def evaluate(self, t) -> Fraction:
-        t = rat(t)
-        if t == 0:
-            raise PreconditionError("Laurent polynomial evaluated at t = 0")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            total += c * t**e if e >= 0 else c / t**(-e)
-        return total
 
     def __repr__(self):
         if not self.terms:
@@ -150,23 +127,44 @@ class LaurentPoly(TermPoly):
 
 
 class LaurentMatrix:
-    __slots__ = ("rows", "cols", "entries")
+    """Immutable matrix sum_e t^e grids[e] / scale, each grid a flat row-major
+    tuple of ints, kept in the normal form of `from_grids` (the validating
+    constructor is `__new__`, so that it can return that form): equal matrices
+    store equal data.  Fractions are built only where entries are read."""
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[LaurentPoly]):
-        ent = tuple(e if isinstance(e, LaurentPoly) else LaurentPoly.const(e)
-                    for e in entries)
+    __slots__ = ("rows", "cols", "scale", "grids")
+
+    def __new__(cls, rows: int, cols: int, entries: Iterable[LaurentPoly]):
+        ent = [e if isinstance(e, LaurentPoly) else LaurentPoly.const(e) for e in entries]
         if len(ent) != rows * cols:
             raise ShapeError("entry count mismatch")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ent)
+        scale = lcm(*(c.denominator for p in ent for c in p.terms.values()))
+        grids = {}
+        for i, p in enumerate(ent):
+            for e, c in p.terms.items():
+                grids.setdefault(e, [0] * len(ent))[i] = c.numerator * (scale // c.denominator)
+        return LaurentMatrix.from_grids(rows, cols, grids, scale)
 
     def __setattr__(self, *_):
         raise AttributeError("LaurentMatrix is immutable")
 
     @staticmethod
+    def from_grids(rows: int, cols: int, grids: Dict[int, Sequence[int]],
+                   scale: int = 1) -> "LaurentMatrix":
+        """sum_e t^e grids[e] / scale from flat row-major integer grids and
+        scale > 0 (not validated), normalised: zero grids are dropped and
+        gcd(scale, every entry) is divided out."""
+        grids = {e: g for e, g in grids.items() if any(g)}
+        d = gcd(scale, *chain.from_iterable(grids.values()))
+        grids = {e: tuple([x // d for x in g] if d > 1 else g) for e, g in grids.items()}
+        m = object.__new__(LaurentMatrix)
+        for name, value in zip(LaurentMatrix.__slots__, (rows, cols, scale // d, grids)):
+            object.__setattr__(m, name, value)
+        return m
+
+    @staticmethod
     def from_rmatrix(m: RMatrix) -> "LaurentMatrix":
-        return LaurentMatrix(m.rows, m.cols, [LaurentPoly.const(e) for e in m.entries])
+        return LaurentMatrix(m.rows, m.cols, m.entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "LaurentMatrix":
@@ -175,44 +173,66 @@ class LaurentMatrix:
         return LaurentMatrix(r, c, [e for row in rows for e in row])
 
     def at(self, r: int, c: int) -> LaurentPoly:
-        return self.entries[r * self.cols + c]
+        i = r * self.cols + c
+        return LaurentPoly._wrap({e: Fraction(g[i], self.scale)
+                                  for e, g in self.grids.items() if g[i]})
+
+    @property
+    def entries(self) -> tuple:
+        return tuple(self.at(r, c) for r in range(self.rows) for c in range(self.cols))
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise ShapeError("Laurent matrix product shape mismatch")
         k, m = self.cols, other.cols
-        left = [p.terms for p in self.entries]
-        columns = [[p.terms for p in other.entries[c::m]] for c in range(m)]
-        out = []
-        for r in range(self.rows):
-            row = left[r * k:(r + 1) * k]
-            for column in columns:
-                terms = chain.from_iterable(
-                    _products(a, b) for a, b in zip(row, column) if a and b)
-                out.append(LaurentPoly._wrap(_collect({}, terms)))
-        return LaurentMatrix(self.rows, m, out)
+        columns = [(e, [g[c::m] for c in range(m)]) for e, g in other.grids.items()]
+        acc = {}
+        for e1, a in self.grids.items():
+            rows = [a[r:r + k] for r in range(0, len(a), k)]
+            for e2, cols in columns:
+                grid = [sum(map(mul, row, col)) for row in rows for col in cols]
+                s = acc.get(e1 + e2)
+                acc[e1 + e2] = grid if s is None else list(map(add, s, grid))
+        return LaurentMatrix.from_grids(self.rows, m, acc, self.scale * other.scale)
 
-    def det(self) -> LaurentPoly:
+    def integer_det(self) -> Dict[int, int]:
+        """Term map of det(sum_e t^e grids[e]), in integers; the
+        determinant of the matrix is this over scale ** rows."""
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
-        return cofactor_det([[self.at(r, c) for c in range(self.cols)]
-                            for r in range(self.rows)])
+        n = self.rows
+        polys = [LaurentPoly._wrap({e: g[i] for e, g in self.grids.items() if g[i]})
+                 for i in range(n * n)]
+        return cofactor_det([polys[r:r + n] for r in range(0, n * n, n)]).terms if n else {0: 1}
+
+    def det(self) -> LaurentPoly:
+        scale = self.scale ** self.rows
+        return LaurentPoly._wrap({e: Fraction(c, scale) for e, c in self.integer_det().items()})
 
     def has_limit_at_zero(self) -> bool:
-        return all(e.has_limit_at_zero() for e in self.entries)
+        return min(self.grids, default=0) >= 0
 
     def limit_at_zero(self) -> RMatrix:
-        return RMatrix(self.rows, self.cols, [e.limit_at_zero() for e in self.entries])
+        if not self.has_limit_at_zero():
+            raise PreconditionError("limit at t -> 0 does not exist")
+        grid = self.grids.get(0, [0] * (self.rows * self.cols))
+        return RMatrix(self.rows, self.cols, [Fraction(x, self.scale) for x in grid])
 
     def evaluate(self, t) -> RMatrix:
-        return RMatrix(self.rows, self.cols, [e.evaluate(t) for e in self.entries])
+        t = rat(t)
+        if t == 0:
+            raise PreconditionError("Laurent polynomial evaluated at t = 0")
+        return RMatrix(self.rows, self.cols, [
+            sum((g[i] * t ** e for e, g in self.grids.items()), Fraction(0)) / self.scale
+            for i in range(self.rows * self.cols)])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LaurentMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self.scale == other.scale
+                and self.grids == other.grids)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.scale, frozenset(self.grids.items())))
 
     def __repr__(self):
         rows = [[repr(self.at(r, c)) for c in range(self.cols)] for r in range(self.rows)]

@@ -316,10 +316,13 @@ def grid_product(A: Sequence[Sequence], B: Sequence[Sequence]) -> list:
 
 def cofactor_det(grid):
     """Determinant of a square grid over any commutative ring, by cofactor
-    expansion along the first row (polynomials, Laurent and dual scalars)."""
+    expansion along the first row (polynomials, Laurent and dual scalars);
+    the empty determinant is 1."""
     n = len(grid)
-    if n == 1:
-        return grid[0][0]
+    if n <= 1:
+        return grid[0][0] if n else 1
+    if n == 2:
+        return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
     acc = None
     for j in range(n):
         term = grid[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in grid[1:]])

@@ -10,20 +10,23 @@ single-value functions, derivatives through symbolic differentiation,
 Jacobians through dense and through sparse Fraction dual numbers,
 ranks and determinants through eager Bareiss elimination, reduced and
 determinant-one echelon forms through Fraction elimination loops, Laurent
-arithmetic through one re-validated polynomial per addition, and the
+arithmetic through one re-validated polynomial per addition and Laurent
+matrices through Fraction term maps per entry, and the
 gcd of binary forms through Euclid on every form, so agreement is
 evidence rather than tautology.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 from random import Random
 
-from matsep import (BinaryForm, LeftMatrix, MatrixTupleLR, RMatrix, ShapeError,
-                    SparsePoly, GroupElementL, GroupElementLR, binary_form_gcd,
-                    bracket, det_inv, poly_expand_det, rat)
+from matsep import (BinaryForm, LaurentPoly, LeftMatrix, MatrixTupleLR, PreconditionError,
+                    RMatrix, ShapeError, SparsePoly, GroupElementL, GroupElementLR,
+                    binary_form_gcd, bracket, det_inv, poly_expand_det, rat)
 from matsep.binform import _dehomogenize, _poly_gcd
+from matsep.laurent import _collect, _products
+from matsep.matrix import cofactor_det
 from matsep.geometry_lr import direction_forms
 
 
@@ -634,6 +637,68 @@ def laurent_matmul_by_additions(a, b):
             out_row.append(acc)
         out.append(out_row)
     return out
+
+
+class LaurentMatrixByFractions:
+    """Matrix of `LaurentPoly` entries with Fraction coefficients, each
+    entry of a product collected in its own term map, as `LaurentMatrix`
+    computed before it stored one integer grid per exponent over one
+    scale."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows, cols, entries):
+        ent = tuple(e if isinstance(e, LaurentPoly) else LaurentPoly.const(e) for e in entries)
+        if len(ent) != rows * cols:
+            raise ShapeError("entry count mismatch")
+        self.rows, self.cols, self.entries = rows, cols, ent
+
+    @staticmethod
+    def from_rows(rows):
+        return LaurentMatrixByFractions(len(rows), len(rows[0]) if rows else 0,
+                                        [e for row in rows for e in row])
+
+    def at(self, r, c):
+        return self.entries[r * self.cols + c]
+
+    def __matmul__(self, other):
+        if self.cols != other.rows:
+            raise ShapeError("Laurent matrix product shape mismatch")
+        k, m = self.cols, other.cols
+        left = [p.terms for p in self.entries]
+        columns = [[p.terms for p in other.entries[c::m]] for c in range(m)]
+        out = []
+        for r in range(self.rows):
+            row = left[r * k:(r + 1) * k]
+            for column in columns:
+                terms = chain.from_iterable(
+                    _products(a, b) for a, b in zip(row, column) if a and b)
+                out.append(LaurentPoly._wrap(_collect({}, terms)))
+        return LaurentMatrixByFractions(self.rows, m, out)
+
+    def det(self):
+        return cofactor_det([[self.at(r, c) for c in range(self.cols)]
+                             for r in range(self.rows)])
+
+    def has_limit_at_zero(self):
+        return all(min(p.terms, default=0) >= 0 for p in self.entries)
+
+    def limit_at_zero(self):
+        if not self.has_limit_at_zero():
+            raise PreconditionError("limit at t -> 0 does not exist")
+        return RMatrix(self.rows, self.cols, [p.terms.get(0, Fraction(0)) for p in self.entries])
+
+    def evaluate(self, t):
+        t = rat(t)
+        return RMatrix(self.rows, self.cols, [
+            sum((c * t ** e for e, c in p.terms.items()), Fraction(0)) for p in self.entries])
+
+    def __eq__(self, other):
+        return (isinstance(other, LaurentMatrixByFractions) and self.rows == other.rows
+                and self.cols == other.cols and self.entries == other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
 
 
 # -- binary forms -----------------------------------------------------------------

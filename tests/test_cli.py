@@ -1,10 +1,12 @@
 import io
 import json
+import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matsep import builtin_claims, parse_rational
 from matsep.cli import document_to_json, load_document, main
@@ -372,6 +374,56 @@ def test_curve_rank_violation_is_precondition_error(tmp_path):
     assert code == 3 and "stacked rank" in err
 
 
+@st.composite
+def left_pair_documents(draw):
+    """A left-pair document with l in 1..4 whose sides are combinations of
+    r shared rows: stacked rank at most r, so within l or, for r = l + 1,
+    possibly above it.  Each side has rank at most a drawn k, and its
+    bottom row is zero or a combination like the others.  The entries come
+    from one drawn Random, which spreads them wider than per-entry draws."""
+    rng = draw(st.randoms(use_true_random=False))
+    l, n = rng.randint(1, 4), rng.randint(0, 5)
+    r = rng.randint(0, l + 1)
+    basis = [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+             for _ in range(r)]
+
+    def combinations(vectors, count):
+        return [[sum((c * v[j] for c, v in zip(cs, vectors)), Fraction(0)) for j in range(n)]
+                for cs in ([rng.randint(-2, 2) for _ in vectors] for _ in range(count))]
+
+    def side():
+        rows = combinations(combinations(basis, rng.randint(0, l)), l)
+        if rng.random() < 0.5:
+            rows[-1] = [Fraction(0)] * n
+        return [[e.numerator if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
+                 for e in row] for row in rows]
+
+    return {"kind": "left-pair", "l": l, "n": n, "first": side(), "second": side()}
+
+
+@settings(max_examples=150)
+@given(left_pair_documents())
+@example({"kind": "left-pair", "l": 3, "n": 4,   # stacked rank 4 > l
+          "first": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]],
+          "second": [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]})
+@example({"kind": "left-pair", "l": 3, "n": 3,   # first side collapses, bottom rows nonzero
+          "first": [[0, 0, 0], [1, 2, 3], ["2/3", "4/3", 2]],
+          "second": [[1, 0, 1], [0, 1, 0], [1, 1, 1]]})
+def test_curve_exits_with_a_verified_curve_or_one_error_line(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pair.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, out, err = run_cli(["curve", path])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1, err
+    else:
+        result = json.loads(out)["result"]
+        assert err == "" and result["verified"] is True and result["limits_match"] is True
+
+
 def test_module_entry_point():
     import os
     import subprocess
@@ -389,3 +441,24 @@ def test_module_entry_point():
     assert out1.returncode == 0
     assert out1.stdout == out2.stdout  # byte-identical across processes
     assert json.loads(out1.stdout)["result"]["lower_bound"] == 11
+
+
+def test_package_imports_only_the_standard_library():
+    import ast
+    import sys
+    from pathlib import Path
+
+    import matsep
+    sources = sorted(Path(matsep.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "__future__" or top in sys.stdlib_module_names, (path.name, name)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from matsep import LeftMatrix, RMatrix, ShapeError, echelon_sl, stack_rows
-from matsep.matrix import cofactor_det, integer_det
+from matsep.matrix import adjugate, cofactor_det, integer_det
 from helpers import (bareiss_det, bareiss_rank, echelon_sl_by_fractions,
                      integer_rows_by_fraction_products, rand_fraction, rand_matrix,
-                     rref_by_fractions)
+                     rand_sl, rref_by_fractions)
 
 
 def test_rank_examples():
@@ -67,6 +67,25 @@ def test_inverse_and_nullspace():
             assert basis
             for v in basis:
                 assert all(x == 0 for x in m.mul_vec(v))
+
+
+@pytest.mark.parametrize("x", [1, -3, Fraction(2, 7), 0])
+def test_adjugate_of_a_one_by_one_grid_is_one(x):
+    # the empty determinant is 1, so the 1 x 1 adjugate is [[1]] for any entry
+    assert cofactor_det([]) == 1
+    assert adjugate([[x]]) == [[1]]
+
+
+def test_adjugate_inverts_determinant_one_matrices():
+    rng = Random(105)
+    for l in (1, 2, 2, 3, 3):
+        for _ in range(40):
+            g = rand_sl(rng, l, shears=6)
+            assert g.det() == 1
+            assert RMatrix.from_rows(adjugate(g.to_rows())) == g.inverse()
+            scaled = [[int(e * 6) for e in row] for row in g.to_rows()]  # g = scaled / 6
+            assert RMatrix.from_rows(adjugate(scaled)).scale(Fraction(1, 6 ** (l - 1))) \
+                == g.inverse()
 
 
 def test_nullspace_dimension():
