@@ -10,7 +10,11 @@ impossible for a correct parameterization and raises immediately.
 
 Trials draw integer coordinates in [-20, 20] from a generator seeded by
 (seed, trial index), so every certificate is reproducible from its seed
-and recorded witness point.
+and recorded witness point.  `trials` is a budget: no rank exceeds
+min(rows, cols) of the Jacobian, the same shape in every trial, so the
+trials stop once a rank reaches it; no later trial could change the
+certificate or raise (a claim below it runs them all), save one whose
+samples all hit a chart singularity, which is then never drawn.
 
 The saturations G.C and graph closures {(A, g.A)} are the grouped
 claims, each declared once as an `Orbit`: a base map P(p), free of the
@@ -193,7 +197,8 @@ def jacobian(param: Parameterization, point: Sequence) -> RMatrix:
 
 def certify_dimension(param: Parameterization, claimed: int,
                       trials: int = 5, seed: int = 0) -> DimensionCertificate:
-    """Maximize the Jacobian rank over random integer sample points.
+    """Maximize the Jacobian rank over at most `trials` random integer
+    sample points, stopping at min(rows, cols) (see the module docstring).
 
     Each rank is taken at the sample moved to the identity of its group
     charts, where it is the same (see the module docstring); the
@@ -215,6 +220,8 @@ def certify_dimension(param: Parameterization, claimed: int,
                 "the parameterization does not land in the claimed component")
         if rank > best:
             best, witness = rank, tuple(map(Fraction, point))
+        if best == min(jac.rows, jac.cols):
+            break
     verdict = CERTIFIED if best == claimed else LOWER_BOUND_ONLY if best > 0 else FAILED
     return DimensionCertificate(param.name, claimed, best, trials, witness, verdict)
 

@@ -13,6 +13,7 @@ subcommand once; the parser, the loader and the dispatch read them.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -281,16 +282,14 @@ def _cmd_identities(args) -> tuple:
 
 def _cmd_counts(args) -> tuple:
     digest = _args_digest({"n": args.n, "l": args.l})
+    if args.n is None:
+        raise PreconditionError("counts needs --n" + ("" if args.l is None else " alongside --l"))
     if args.l is None:
-        if args.n is None:
-            raise PreconditionError("counts needs --n")
         payload = {"n": args.n,
                    "dim": invariant_dim_lr(args.n),
                    "generators": generator_count_lr(args.n),
                    "lower_bound": lower_bound_lr(args.n)}
     else:
-        if args.n is None:
-            raise PreconditionError("counts needs --n alongside --l")
         # the lower bound checks l >= 2 and n >= l, so comb never sees n < 0
         payload = {"l": args.l, "n": args.n,
                    "lower_bound": lower_bound_left(args.l, args.n),
@@ -309,7 +308,7 @@ def _args_digest(params: dict) -> str:
 
 def _emit(args, digest: str, payload) -> None:
     report = {"command": args.command,
-              "arguments": _echo_args(args),
+              "arguments": {k: v for k, v in sorted(vars(args).items()) if k != "format"},
               "input_digest": f"sha256:{digest}",
               "result": payload,
               "version": __version__}
@@ -317,10 +316,6 @@ def _emit(args, digest: str, payload) -> None:
         _emit_text(report)
     else:
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-
-
-def _echo_args(args) -> dict:
-    return {k: v for k, v in sorted(vars(args).items()) if k != "format"}
 
 
 def _emit_text(report) -> None:
@@ -398,8 +393,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # The parser is all reference cycles: with the collector paused it dies young, unpromoted.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        args = _build_parser().parse_args(argv)
+    finally:
+        if enabled:
+            gc.enable()
     try:
         digest, payload = _run(args)
     except (InputError, ShapeError) as exc:

@@ -11,8 +11,9 @@ Jacobians through dense and through sparse Fraction dual numbers,
 ranks and determinants through eager Bareiss elimination, reduced and
 determinant-one echelon forms through Fraction elimination loops, Laurent
 arithmetic through one re-validated polynomial per addition and Laurent
-matrices through Fraction term maps per entry, and the
-gcd of binary forms through Euclid on every form, so agreement is
+matrices through Fraction term maps per entry, the
+gcd of binary forms through Euclid on every form, and dimension
+certificates through every trial of the budget, so agreement is
 evidence rather than tautology.
 """
 
@@ -25,6 +26,8 @@ from matsep import (BinaryForm, LaurentPoly, LeftMatrix, MatrixTupleLR, Precondi
                     RMatrix, ShapeError, SparsePoly, GroupElementL, GroupElementLR,
                     binary_form_gcd, bracket, det_inv, poly_expand_det, rat)
 from matsep.binform import _dehomogenize, _poly_gcd
+from matsep.certify import (CERTIFIED, FAILED, LOWER_BOUND_ONLY, CertificationError,
+                            DimensionCertificate, _sample_point, jacobian)
 from matsep.laurent import _collect, _products
 from matsep.matrix import cofactor_det
 from matsep.geometry_lr import direction_forms
@@ -391,6 +394,33 @@ def sparse_fraction_jacobian(evaluator, point) -> RMatrix:
     rows = [list(out.partials) if isinstance(out, SparseFractionDual) else [0] * k
             for out in evaluator([SparseFractionDual(v, k, {i: 1}) for i, v in enumerate(pt)])]
     return RMatrix(len(rows), k, [e for row in rows for e in row])
+
+
+# -- dimension certificates from every trial --------------------------------------
+
+
+def certify_all_trials(param, claimed: int, trials: int = 5, seed: int = 0):
+    """`certify_dimension` as it ran before it stopped at the rank bound:
+    every trial of the budget is drawn, ranked and checked against the
+    claim."""
+    if trials < 1:
+        raise PreconditionError("at least one trial is required")
+    best, witness = -1, None
+    group = set(param.group_coords)
+    for trial in range(trials):
+        rng = Random(seed * 1_000_003 + trial)
+        point = _sample_point(param, rng)
+        at = [0 if i in group else x for i, x in enumerate(point)]
+        jac = param.orbit.identity_jacobian(at) if param.orbit else jacobian(param, at)
+        rank = jac.rank()
+        if rank > claimed:
+            raise CertificationError(
+                f"{param.name}: rank {rank} exceeds claimed dimension {claimed}; "
+                "the parameterization does not land in the claimed component")
+        if rank > best:
+            best, witness = rank, tuple(map(Fraction, point))
+    verdict = CERTIFIED if best == claimed else LOWER_BOUND_ONLY if best > 0 else FAILED
+    return DimensionCertificate(param.name, claimed, best, trials, witness, verdict)
 
 
 # -- Fraction loops behind the integer-form blocks -----------------------------

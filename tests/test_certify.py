@@ -10,8 +10,8 @@ from matsep import (CertificationError, ChartSingularityError, LeftMatrix,
                     certify_builtin, certify_dimension, generators_lr,
                     is_stable_lr, jacobian, m_matrix, act_lr, separated_lr,
                     sl2_chart, verify_bracket_identity, verify_xi_identity)
-from matsep.certify import CERTIFIED, FAILED
-from helpers import bareiss_rank, rand_fraction
+from matsep.certify import CERTIFIED, FAILED, LOWER_BOUND_ONLY
+from helpers import bareiss_rank, certify_all_trials, rand_fraction
 
 
 def test_sl2_chart_examples():
@@ -94,7 +94,8 @@ def test_certificates_reproducible_from_witness():
 def test_user_parameterization_named_gamma_is_certified_from_its_evaluator():
     """The trial matrix follows the declaration, not the name: a user map
     named like a builtin grouped claim is differentiated through its own
-    evaluator, at the sample with its group coordinates set to 0."""
+    evaluator, at the sample with its group coordinates set to 0.  Its
+    3x2 Jacobian reaches rank 2 in the first trial, which ends the budget."""
     seen = []
 
     def evaluator(ps):
@@ -103,6 +104,21 @@ def test_user_parameterization_named_gamma_is_certified_from_its_evaluator():
     p = Parameterization("gamma", 2, 3, evaluator, group_coords=(1,))
     cert = certify_dimension(p, 2, trials=3, seed=0)
     assert (cert.verdict, cert.achieved_rank) == (CERTIFIED, 2)
+    assert seen == [0]
+
+
+def test_user_parameterization_below_its_rank_bound_runs_every_trial_at_group_zero():
+    """A user map of rank 1 < min(3, 2) runs its whole budget, each trial
+    at the sample with its group coordinate set to 0."""
+    seen = []
+
+    def evaluator(ps):
+        seen.append(ps[1].value)
+        s = ps[0] + ps[1]
+        return [s, 2 * s, 3 * s]
+    p = Parameterization("gamma", 2, 3, evaluator, group_coords=(1,))
+    cert = certify_dimension(p, 1, trials=3, seed=0)
+    assert (cert.verdict, cert.achieved_rank) == (CERTIFIED, 1)
     assert seen == [0, 0, 0]
 
 
@@ -421,3 +437,107 @@ def test_group_coords_are_the_charts_and_zero_is_the_identity(l, n):
             half = param.output_count // 2
             base = param.evaluator(point)[:half]
             assert moved == base + base, name
+
+
+# -- the trial budget -----------------------------------------------------------
+# certify stops its trials once a rank reaches min(rows, cols) of the trial
+# Jacobian; `certify_all_trials` runs the whole budget, and both must give
+# the same certificate or raise the same exception.
+
+_BUDGET_SIZES = [(None, 4), (None, 5), (2, 4), (3, 5), (4, 6)]
+_BUDGET_CLAIMS = [(l, n, row.name, row.claimed) for l, n in _BUDGET_SIZES
+                  for row in builtin_claims(n, l)]
+
+
+def _outcomes_agreeing_with_every_trial(param, claimed):
+    """The verdicts and exception types over seeds 0-4 and budgets 1-5,
+    each asserted to be the one the all-trials loop gives."""
+    outcomes = set()
+    for seed in range(5):
+        for trials in range(1, 6):
+            try:
+                expected = certify_all_trials(param, claimed, trials, seed)
+            except (CertificationError, PreconditionError) as exc:
+                with pytest.raises((CertificationError, PreconditionError)) as info:
+                    certify_dimension(param, claimed, trials, seed)
+                assert type(info.value) is type(exc), (param.name, seed, trials)
+                outcomes.add(type(exc))
+                continue
+            assert certify_dimension(param, claimed, trials, seed) == expected, (
+                param.name, seed, trials)
+            outcomes.add(expected.verdict)
+    return outcomes
+
+
+@pytest.mark.parametrize("l,n,name,claimed", _BUDGET_CLAIMS,
+                         ids=[f"{l}-{n}-{name}" for l, n, name, _ in _BUDGET_CLAIMS])
+def test_builtin_certificates_match_the_all_trials_loop(l, n, name, claimed):
+    param = builtin_parameterization(name, n, l)
+    assert _outcomes_agreeing_with_every_trial(param, claimed) == {CERTIFIED}
+
+
+_CONSTANT = Parameterization("const", 3, 2, lambda ps: [Fraction(4), Fraction(0)])
+_DEFICIENT = Parameterization(
+    "deficient", 3, 3, lambda ps: [ps[0] + ps[1], ps[1] + ps[2], ps[0] + 2 * ps[1] + ps[2]])
+_LINEAR = Parameterization(
+    "linear", 2, 3, lambda ps: [2 * ps[0] + ps[1], 3 * ps[1], ps[0] + ps[1]])
+_X0 = Random(0).randint(-20, 20)   # the first coordinate of seed 0's first sample
+# rank 1 where x = x0, so at seed 0's first sample only, else 2
+_DEGENERATE_FIRST = Parameterization(
+    "degenerate-first", 2, 2, lambda ps: [ps[0], (ps[0] - _X0) * ps[1]])
+
+
+@pytest.mark.parametrize("param,claimed,outcomes", [
+    (_CONSTANT, 0, {CERTIFIED}), (_CONSTANT, 2, {FAILED}), (_DEFICIENT, 2, {CERTIFIED}),
+    (_LINEAR, 3, {LOWER_BOUND_ONLY}), (_LINEAR, 1, {CertificationError}),
+    (_DEGENERATE_FIRST, 1, {CERTIFIED, CertificationError})],
+    ids=["constant-0", "constant-2", "deficient", "above-bound", "below-rank",
+         "exceeded-after-a-first-trial-at-the-claim"])
+def test_user_certificates_match_the_all_trials_loop(param, claimed, outcomes):
+    assert _outcomes_agreeing_with_every_trial(param, claimed) == outcomes
+
+
+def test_a_stopped_budget_never_draws_a_later_singular_trial():
+    """The one outcome the stop changes: a map whose chart guard vanishes
+    everywhere but at the first sample of trial 0 reaches its rank bound
+    there, so trial 1, whose samples would all be singular, is never drawn."""
+    rng = Random(0)
+    first = [rng.randint(-20, 20) for _ in range(2)]
+    p = Parameterization("lucky", 2, 2, lambda ps: [ps[0], ps[1]],
+                         chart_guards=(lambda pt: Fraction(list(pt) == first),))
+    with pytest.raises(ChartSingularityError):
+        certify_all_trials(p, 2, trials=2, seed=0)
+    cert = certify_dimension(p, 2, trials=2, seed=0)
+    assert (cert.verdict, cert.trials, cert.witness_point) == (
+        CERTIFIED, 2, tuple(map(Fraction, first)))
+
+
+def _counted_samples(monkeypatch) -> list:
+    import matsep.certify as certify
+    calls, draw = [], certify._sample_point
+
+    def counted(param, rng):
+        calls.append(param.name)
+        return draw(param, rng)
+    monkeypatch.setattr(certify, "_sample_point", counted)
+    return calls
+
+
+@pytest.mark.parametrize("l,n,name", [(None, 4, "gamma"), (None, 5, "cr-cc"),
+                                      (3, 5, "gamma-left"), (3, 5, "nullcone-left"),
+                                      (4, 6, "nullcone-pair-left"), (2, 4, "z-left")])
+def test_a_first_trial_at_the_rank_bound_draws_one_sample(monkeypatch, l, n, name):
+    claimed = {row.name: row.claimed for row in builtin_claims(n, l)}[name]
+    calls = _counted_samples(monkeypatch)
+    cert = certify_dimension(builtin_parameterization(name, n, l), claimed, trials=5, seed=0)
+    assert (cert.verdict, cert.trials, calls) == (CERTIFIED, 5, [name])
+
+
+def test_a_saturation_at_its_claim_below_the_bound_draws_every_trial(monkeypatch):
+    """sat-cr at n = 4 reaches its claim 21 in trial 1, below the bound
+    min(32, 29); the later trials still run, each able to exceed the claim."""
+    param = builtin_parameterization("sat-cr", n=4)
+    assert certify_all_trials(param, 21, trials=1).achieved_rank == 21
+    calls = _counted_samples(monkeypatch)
+    cert = certify_dimension(param, 21, trials=5, seed=0)
+    assert (cert.verdict, len(calls)) == (CERTIFIED, 5)

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from matsep import builtin_claims, parse_rational
-from matsep.cli import document_to_json, load_document, main
+from matsep import InputError, builtin_claims, parse_rational
+from matsep.cli import _COMMANDS, document_to_json, load_document, main
 
 
 def run_cli(argv):
@@ -411,17 +411,129 @@ def left_pair_documents(draw):
           "second": [[1, 0, 1], [0, 1, 0], [1, 1, 1]]})
 def test_curve_exits_with_a_verified_curve_or_one_error_line(doc):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "pair.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        code, out, err = run_cli(["curve", path])
+        code, out, err = _run_on_document(tmp, ["curve"], doc)
     assert code in (0, 2, 3)
+    _assert_exit_contract(code, out, err)
+    if not code:
+        result = json.loads(out)["result"]
+        assert result["verified"] is True and result["limits_match"] is True
+
+
+def _write_document(tmp, doc) -> str:
+    path = os.path.join(tmp, "doc.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def _run_on_document(tmp, argv, doc):
+    return run_cli(argv[:1] + [_write_document(tmp, doc)] + argv[1:])
+
+
+def _assert_exit_contract(code, out, err):
+    """A documented exit code and no traceback; a failure prints nothing
+    and writes one stderr line, a success writes no stderr."""
+    assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
     if code:
         assert out == "" and err.endswith("\n") and err.count("\n") == 1, err
     else:
-        result = json.loads(out)["result"]
-        assert err == "" and result["verified"] is True and result["limits_match"] is True
+        assert err == ""
+
+
+_DOCUMENT_COMMANDS = [name for name, command in _COMMANDS.items()
+                      if isinstance(command.action, dict)]
+_OPERAND_FIELDS = {"lr-tuple": ("matrices",), "lr-pair": ("first", "second"),
+                   "left-matrix": ("rows",), "left-pair": ("first", "second")}
+_BAD_VALUES = [True, False, None, 1.5, 1e400, "1/0", "0.5", "x", "", [], {}, [[1]]]
+
+
+def _leaf_rows(value):
+    """Every list in a JSON value whose items are not lists."""
+    if isinstance(value, dict):
+        return [row for v in value.values() for row in _leaf_rows(v)]
+    if not isinstance(value, list):
+        return []
+    inner = [row for v in value for row in _leaf_rows(v)]
+    return inner if any(isinstance(v, list) for v in value) else [value] + inner
+
+
+@st.composite
+def malformed_documents(draw, kinds):
+    """A document with n <= 5 and l <= 4, mostly of one of `kinds`, else
+    of any of the four, well formed or broken by up to three drawn faults:
+    a wrong or non-integer size, a ragged row, a bad entry, a missing
+    field, an unknown kind or a top level that is not an object.  The
+    document comes from one drawn Random."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = rng.choice(sorted(kinds if rng.random() < 0.8 else _OPERAND_FIELDS))
+    l, n = rng.randint(0, 4), rng.randint(0, 5)
+
+    def entry():
+        num, den = rng.randint(-9, 9), rng.choice((1, 1, 1, 2, 3))
+        return num if den == 1 and rng.random() < 0.5 else f"{num}/{den}"
+
+    upper = rng.random() < 0.5
+
+    def operand():
+        shapes = [(2, 2)] * n if kind.startswith("lr-") else [(l, n)]
+        mats = [[[entry() for _ in range(c)] for _ in range(r)] for r, c in shapes]
+        if not kind.startswith("lr-"):
+            return mats[0]
+        if upper:
+            for m in mats:
+                m[1][0] = 0
+        return mats
+
+    doc = {"kind": kind, "n": n, **({} if kind.startswith("lr-") else {"l": l})}
+    doc.update((field, operand()) for field in _OPERAND_FIELDS[kind])
+    if "second" in doc and rng.random() < 0.5:   # a pair no invariant separates
+        doc["second"] = json.loads(json.dumps(doc["first"]))
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        fault = rng.randrange(7)
+        rows = _leaf_rows(doc)
+        if fault == 0 and isinstance(doc, dict):
+            key, size = rng.choice([("n", n), ("l", l)][:1 + ("l" in doc)])
+            doc[key] = rng.choice([size - 1, size + 1, -1, True, 2.0, "3", None])
+        elif fault == 1 and rows:
+            row = rng.choice(rows)
+            if row and rng.random() < 0.5:
+                row.pop()
+            else:
+                row.append(entry())
+        elif fault == 2 and any(rows):
+            row = rng.choice([row for row in rows if row])
+            row[rng.randrange(len(row))] = rng.choice(_BAD_VALUES)
+        elif fault == 3 and isinstance(doc, dict) and doc:
+            del doc[rng.choice(sorted(doc))]
+        elif fault == 4 and isinstance(doc, dict):
+            doc["kind"] = rng.choice(["lr", "LR-TUPLE", 3, None] + sorted(_OPERAND_FIELDS))
+        elif fault == 5 and isinstance(doc, dict):
+            doc = rng.choice([[doc], 3, "lr-tuple", None, []])
+        elif fault == 6 and isinstance(doc, dict):
+            field = rng.choice(_OPERAND_FIELDS[kind])
+            value = doc.get(field)
+            doc[field] = rng.choice(_BAD_VALUES + ([value[:1]] if isinstance(value, list) else []))
+    return doc
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(_DOCUMENT_COMMANDS), st.sampled_from(["structured", "text"]), st.data())
+def test_document_commands_keep_the_exit_contract(command, fmt, data):
+    """Every document command, on arbitrary and malformed documents of
+    the four kinds, exits under the contract; a document that loads
+    round-trips through `document_to_json` to a fixed point."""
+    kinds = _COMMANDS[command].action
+    doc = data.draw(malformed_documents(kinds) | left_pair_documents() if "left-pair" in kinds
+                    else malformed_documents(kinds))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = _run_on_document(tmp, [command, "--format", fmt], doc)
+        _assert_exit_contract(code, out, err)
+        try:
+            emitted = document_to_json(load_document(_write_document(tmp, doc)))
+        except InputError:
+            return
+        assert document_to_json(load_document(_write_document(tmp, emitted))) == emitted
 
 
 def test_module_entry_point():
@@ -462,3 +574,36 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "__future__" or top in sys.stdlib_module_names, (path.name, name)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, code", [(["counts", "--n", "4"], 0), (["no-such-command"], None)])
+def test_main_leaves_the_garbage_collector_as_it_found_it(enabled, argv, code):
+    import gc
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is None:
+            with pytest.raises(SystemExit):
+                run_cli(argv)
+        else:
+            assert run_cli(argv)[0] == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_parsers_die_young():
+    # Each call's parser is cyclic garbage; if collections could run while
+    # it is alive, some would be promoted and wait for a full collection.
+    import argparse
+    import gc
+
+    def old_parsers():
+        return sum(isinstance(o, argparse.ArgumentParser) and o.prog.startswith("matsep")
+                   for g in (1, 2) for o in gc.get_objects(generation=g))
+
+    gc.collect()
+    for n in range(4, 44):
+        assert run_cli(["counts", "--n", str(n)])[0] == 0
+    assert old_parsers() == 0
