@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from typing import List, Optional, Sequence, Tuple
 
-from .rational import rat
+from .rational import integer_form, rat
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,9 @@ def _dehomogenize(form: BinaryForm) -> List[Fraction]:
 
 def _vanishes_at(form: BinaryForm, u: int, v: int) -> bool:
     """Whether q(u, v) = 0 at integers u, v, in integer arithmetic."""
-    cs, d = form.coefficients, form.degree
-    m = lcm(*[c.denominator for c in cs])
-    return not sum(c.numerator * (m // c.denominator) * u**i * v**(d - i)
-                   for i, c in enumerate(cs))
+    d = form.degree
+    return not sum(c * u**i * v**(d - i)
+                   for i, c in enumerate(integer_form(form.coefficients)[0]))
 
 
 def binary_form_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
@@ -128,8 +127,7 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
         return []
     if len(p) == 2:
         return [-p[0] / p[1]]
-    mult = lcm(*[x.denominator for x in p])
-    c, b, a = (x.numerator * (mult // x.denominator) for x in p)
+    c, b, a = integer_form(p)[0]
     disc = b * b - 4 * a * c
     s = isqrt(disc) if disc >= 0 else -1
     if s * s != disc:

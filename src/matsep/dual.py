@@ -26,12 +26,12 @@ through `rat`, so an integer point builds no Fraction at all.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Sequence
 
 from .errors import ChartSingularityError, ShapeError
 from .matrix import IntegerRowMatrix, RMatrix
-from .rational import rat
+from .rational import integer_form, rat
 
 _EMPTY: dict = {}
 
@@ -40,12 +40,10 @@ class DualScalar:
     __slots__ = ("nparams", "_n", "_d", "_q")
 
     def __init__(self, value, partials: Sequence[Fraction]):
-        value = rat(value)
-        dense = [rat(p) for p in partials]
-        q = lcm(value.denominator, *[p.denominator for p in dense])
+        (n, *dense), q = integer_form([rat(value), *map(rat, partials)])
         _set_nparams(self, len(dense))
-        _set_n(self, value.numerator * (q // value.denominator))
-        _set_d(self, {i: p.numerator * (q // p.denominator) for i, p in enumerate(dense) if p})
+        _set_n(self, n)
+        _set_d(self, {i: p for i, p in enumerate(dense) if p})
         _set_q(self, q)
 
     def __setattr__(self, *_):

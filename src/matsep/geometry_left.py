@@ -25,6 +25,7 @@ from .errors import PreconditionError, ShapeError
 from .invariants import LeftMatrix
 from .laurent import LaurentMatrix
 from .matrix import IntegerRowMatrix, RMatrix, _bareiss, adjugate, grid_product
+from .rational import integer_form
 from .separation import GroupElementL
 
 
@@ -89,8 +90,9 @@ def graph_member_l23(A: LeftMatrix, A2: LeftMatrix) -> bool:
 
 def _integer_grid(rows) -> Tuple[list, int]:
     """Rational rows as integer rows over their least common denominator."""
-    scale = lcm(*(e.denominator for row in rows for e in row))
-    return [[e.numerator * (scale // e.denominator) for e in row] for row in rows], scale
+    flat, scale = integer_form([e for row in rows for e in row])
+    k = len(rows[0])
+    return [flat[i * k:(i + 1) * k] for i in range(len(rows))], scale
 
 
 def _echelon_rows(A: LeftMatrix) -> tuple:

@@ -39,11 +39,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from typing import Sequence, Tuple
 
 from .errors import PreconditionError, ShapeError
 from .matrix import RMatrix, integer_det
+from .rational import integer_form
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,8 @@ class MatrixTupleLR:
     def integer_form(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
         """(ints, scale), computed once per tuple: scale[i] is the lcm q_i of
         matrix i's denominators and ints[i] its row-major entries times q_i."""
-        scale = tuple(lcm(*(e.denominator for e in m.entries)) for m in self.matrices)
-        ints = tuple(tuple(e.numerator * (q // e.denominator) for e in m.entries)
-                     for m, q in zip(self.matrices, scale))
-        return ints, scale
+        forms = [integer_form(m.entries) for m in self.matrices]
+        return tuple(tuple(ints) for ints, _ in forms), tuple(q for _, q in forms)
 
 
 @dataclass(frozen=True)

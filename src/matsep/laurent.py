@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from operator import add, mul
 from typing import Dict, Iterable, Sequence
 
 from .errors import PreconditionError, ShapeError
 from .matrix import RMatrix, cofactor_det
-from .rational import rat
+from .rational import integer_form, rat
 
 
 def _collect(acc: dict, terms) -> dict:
@@ -138,11 +138,11 @@ class LaurentMatrix:
         ent = [e if isinstance(e, LaurentPoly) else LaurentPoly.const(e) for e in entries]
         if len(ent) != rows * cols:
             raise ShapeError("entry count mismatch")
-        scale = lcm(*(c.denominator for p in ent for c in p.terms.values()))
+        terms = [(i, e, c) for i, p in enumerate(ent) for e, c in p.terms.items()]
+        ints, scale = integer_form([c for _, _, c in terms])
         grids = {}
-        for i, p in enumerate(ent):
-            for e, c in p.terms.items():
-                grids.setdefault(e, [0] * len(ent))[i] = c.numerator * (scale // c.denominator)
+        for (i, e, _), x in zip(terms, ints):
+            grids.setdefault(e, [0] * len(ent))[i] = x
         return LaurentMatrix.from_grids(rows, cols, grids, scale)
 
     def __setattr__(self, *_):
@@ -161,10 +161,6 @@ class LaurentMatrix:
         for name, value in zip(LaurentMatrix.__slots__, (rows, cols, scale // d, grids)):
             object.__setattr__(m, name, value)
         return m
-
-    @staticmethod
-    def from_rmatrix(m: RMatrix) -> "LaurentMatrix":
-        return LaurentMatrix(m.rows, m.cols, m.entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "LaurentMatrix":

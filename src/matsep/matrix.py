@@ -4,7 +4,8 @@ One Bareiss-style integer kernel, `_bareiss`, serves rank, determinant,
 `rref` (and through it nullspace and inverse) and `echelon_sl`.  Rows are
 cleared of denominators first, so every intermediate value is an exact
 minor of the scaled matrix and entry growth stays polynomial.  A row swap
-negates the row it moves up, so every transform has determinant one.
+negates the row it moves up, so every transform has determinant one; the
+sign rides in `div` and the catch-up of the pivot row applies it.
 A row whose entry in the pivot column is zero is skipped, not rewritten:
 with p_j the pivot of step j and p_{-1} = 1, a row last brought to step
 k equals its step-s Bareiss row times p_{k-1} / p_{s-1}, so the one
@@ -17,11 +18,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm, prod
+from math import prod
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
-from .rational import rat
+from .rational import integer_form, rat
 
 
 class RMatrix:
@@ -134,13 +135,8 @@ class RMatrix:
             return self._ints
         except AttributeError:
             pass
-        rows = []
-        scale = 1
-        for r in range(self.rows):
-            row = self.row(r)
-            mult = lcm(*[e.denominator for e in row])
-            scale *= mult
-            rows.append([e.numerator * (mult // e.denominator) for e in row])
+        forms = [integer_form(self.row(r)) for r in range(self.rows)]
+        rows, scale = [ints for ints, _ in forms], prod(q for _, q in forms)
         object.__setattr__(self, "_ints", (rows, scale))
         return rows, scale
 
@@ -149,20 +145,9 @@ class RMatrix:
         return len(_bareiss(self._integer_rows()[0], self.cols)[1])
 
     def det(self) -> Fraction:
-        """Exact determinant (Bareiss for sizes above three)."""
+        """Exact determinant by the Bareiss kernel, at every size."""
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        if n == 1:
-            return self.entries[0]
-        if n == 2:
-            a, b, c, d = self.entries
-            return a * d - b * c
-        if n == 3:
-            a, b, c, d, e, f, g, h, i = self.entries
-            return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         rows, scale = self._integer_rows()
         return Fraction(integer_det(rows), scale)
 
@@ -245,10 +230,12 @@ def _bareiss(rows: list, pivot_cols: int, upward: bool = False) -> tuple:
     A pivot row is caught up to the current step by `* prev // div[r]`
     and stored so; any other row takes its next step straight from step
     k, which divides by its own `div[r]` where eager Bareiss divides by
-    `prev`.  With `upward` the rows above each pivot are cleared too
-    (fraction-free Gauss-Jordan), every pivot row counts as brought to
-    its own step, and each pivot row ends as a multiple of its reduced
-    row.  A square grid of full rank ends with its determinant as the
+    `prev`.  A swap negates the `div` of the row it moves up instead of
+    the row itself; that row is the pivot row, so its catch-up applies
+    the sign, and the step then overwrites the negated `div`.  With
+    `upward` the rows above each pivot are cleared too (fraction-free
+    Gauss-Jordan), every pivot row counts as brought to its own step,
+    and each pivot row ends as a multiple of its reduced row.  A square grid of full rank ends with its determinant as the
     last pivot.
     """
     m = [row[:] for row in rows]
@@ -265,8 +252,8 @@ def _bareiss(rows: list, pivot_cols: int, upward: bool = False) -> tuple:
         if pr is None:
             continue
         if pr != piv_r:
-            m[pr], m[piv_r] = m[piv_r], [-e for e in m[pr]]
-            div[pr], div[piv_r] = div[piv_r], div[pr]
+            m[pr], m[piv_r] = m[piv_r], m[pr]
+            div[pr], div[piv_r] = div[piv_r], -div[pr]
         top = m[piv_r]
         if div[piv_r] != prev:
             top = m[piv_r] = [e * prev // div[piv_r] for e in top]

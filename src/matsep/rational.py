@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(0*[1-9]\d*))?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(0*[1-9]\d*))?$", re.ASCII)
 
 
 def rat(x) -> Fraction:
@@ -35,6 +36,14 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not an exact rational literal: {text!r}")
     num, den = m.groups()
     return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+
+
+def integer_form(values) -> tuple:
+    """(ints, scale) of a sequence of Fractions or ints: scale is the lcm
+    of their denominators and value i is ints[i] / scale, ints a list.
+    The one place where denominators are cleared."""
+    scale = lcm(*[v.denominator for v in values])
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def format_rational(x: Fraction) -> str:

@@ -136,7 +136,9 @@ def test_exit_code_2_on_zero_denominator(tmp_path):
     _assert_input_error(["invariants", write(tmp_path, "zero.json", doc)])
 
 
-@pytest.mark.parametrize("literal", ["1.5", "1e3", "1/-2", "1/0", "0x10", ""])
+# non-ASCII digits ("３" fullwidth, "٣" and "٢" Arabic-Indic) are not integer literals
+@pytest.mark.parametrize("literal", ["1.5", "1e3", "1/-2", "1/0", "0x10", "",
+                                     "３", "٣", "1/1٢"])
 def test_exit_code_2_on_non_rational_literal(tmp_path, literal):
     doc = {"kind": "lr-tuple", "n": 1, "matrices": [[[literal, 1], [0, 1]]]}
     _assert_input_error(["invariants", write(tmp_path, "literal.json", doc)])
@@ -574,6 +576,24 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "__future__" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def test_only_rational_clears_denominators():
+    # rational.integer_form is the one place that takes an lcm of denominators
+    import ast
+    from pathlib import Path
+
+    import matsep
+    sources = sorted(Path(matsep.__file__).parent.glob("*.py"))
+    assert any(path.name == "rational.py" for path in sources)
+    for path in sources:
+        if path.name == "rational.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "lcm" in (getattr(node.func, "id", None),
+                                                        getattr(node.func, "attr", None)):
+                assert not any(isinstance(n, ast.Attribute) and n.attr == "denominator"
+                               for arg in node.args for n in ast.walk(arg)), (path.name, node.lineno)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

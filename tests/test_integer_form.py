@@ -5,6 +5,8 @@ one (ints, scale) pair per tuple, and the maximal minors read the
 integer rows of the left matrix.  Each is compared with the Fraction
 oracles in helpers.py and with the single-value det_inv, bracket and
 xi, on inputs with large coprime denominators and zero matrices.
+`rational.integer_form`, the one helper that clears denominators, is
+checked against its (ints, scale) contract directly.
 """
 
 from fractions import Fraction
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from matsep import (LeftMatrix, MatrixTupleLR, RMatrix, generators_lr,
                     minors_left, nullcone_member_lr, xi)
 from matsep.geometry_lr import _direction_gcd
+from matsep.rational import integer_form
 from helpers import (bracket_block_by_fractions, det_block_by_fractions,
                      direction_gcd_by_fractions, minors_left_by_fractions,
                      nullcone_member_by_fractions)
@@ -63,6 +66,18 @@ def test_blocks_nullcone_and_direction_gcd_match_fraction_oracles(A):
     assert all(type(v) is Fraction for v in gv.dets + gv.brackets + gv.xis)
     assert nullcone_member_lr(A) == nullcone_member_by_fractions(A)
     assert _direction_gcd(A) == direction_gcd_by_fractions(A)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(st.integers(-10**12, 10**12),
+                          st.fractions(max_denominator=10**6),
+                          st.just(Fraction(0)), st.just(0)), max_size=12))
+def test_rational_integer_form_clears_denominators(values):
+    ints, scale = integer_form(values)
+    assert type(ints) is list and len(ints) == len(values)
+    assert all(type(n) is int for n in ints)
+    assert type(scale) is int and scale == lcm(*(v.denominator for v in values))
+    assert all(Fraction(n, scale) == v for n, v in zip(ints, values))
 
 
 @settings(max_examples=60)
