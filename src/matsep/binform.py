@@ -5,14 +5,16 @@ the coefficient of u^i v^(d-i) at index i.  A family of forms shares a
 projective root over the complex numbers exactly when its gcd has
 positive degree; the root [1:0] at infinity corresponds to all leading
 coefficients vanishing and is tracked separately from the dehomogenised
-univariate gcd.
+univariate gcd.  The gcd runs Euclid over the integers: coefficient
+lists cleared of denominators, primitive pseudo-remainders, and Fractions
+only for the monic result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from .rational import integer_form, rat
@@ -43,76 +45,73 @@ class BinaryForm:
         return BinaryForm(0, (Fraction(0),))
 
 
-def _strip(p: List[Fraction]) -> List[Fraction]:
+def _strip(p: list) -> list:
+    """Drop trailing zero coefficients in place."""
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def _poly_divmod(num: List[Fraction], den: List[Fraction]):
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    while len(num) >= len(den) and _strip(num):
-        shift = len(num) - len(den)
-        factor = num[-1] / den[-1]
-        q[shift] = factor
-        for i, d in enumerate(den):
-            num[shift + i] -= factor * d
-        _strip(num)
-    return q, num
+def _primitive_remainder(a: List[int], b: List[int]) -> List[int]:
+    """The primitive part of a mod b over the integers, [] when b divides
+    a: each step multiplies the running remainder by b's leading
+    coefficient, so no division is taken until the content is removed."""
+    r = list(a)
+    while len(r) >= len(b):
+        top, shift = r[-1], len(r) - len(b)
+        r = [x * b[-1] for x in r]
+        for i, y in enumerate(b):
+            r[shift + i] -= top * y
+        _strip(r)
+    content = gcd(*r)
+    return [x // content for x in r]
 
 
-def _poly_gcd(p: List[Fraction], q: List[Fraction]) -> List[Fraction]:
-    """Monic gcd of univariate rational polynomials (Euclid)."""
-    a, b = _strip(list(p)), _strip(list(q))
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, _strip(r)
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
+def _vanishes_at(coeffs: Sequence[int], u: int, v: int) -> bool:
+    """Whether the form with these integer coefficients vanishes at (u, v)."""
+    d = len(coeffs) - 1
+    return not sum(c * u**i * v**(d - i) for i, c in enumerate(coeffs))
 
 
-def _dehomogenize(form: BinaryForm) -> List[Fraction]:
-    """q(x, 1) as a coefficient list; drops the power of v at infinity."""
-    return _strip(list(form.coefficients))
+def gcd_of_integer_forms(forms: Sequence[Sequence[int]]) -> BinaryForm:
+    """binary_form_gcd of forms given by integer coefficients, index i the
+    exponent of u and the degree one less than the length.
 
-
-def _vanishes_at(form: BinaryForm, u: int, v: int) -> bool:
-    """Whether q(u, v) = 0 at integers u, v, in integer arithmetic."""
-    d = form.degree
-    return not sum(c * u**i * v**(d - i)
-                   for i, c in enumerate(integer_form(form.coefficients)[0]))
+    Euclid runs on the dehomogenised integer polynomials with primitive
+    pseudo-remainders, so every intermediate is an integer list of
+    bounded content; only the monic result is built from Fractions.
+    """
+    nonzero = [f for f in forms if any(f)]
+    if not nonzero:
+        return BinaryForm.zero()
+    finite = [_strip(list(f)) for f in nonzero]
+    # multiplicity of the common root at infinity: each form contributes
+    # degree minus dehomogenised degree
+    inf_mult = min(len(f) - len(p) for f, p in zip(nonzero, finite))
+    g = finite[0]
+    k = 1
+    while k < len(finite) and len(g) > 2:
+        h = finite[k]
+        while h:
+            g, h = h, _primitive_remainder(g, h)
+        k += 1
+    # one finite root -g0/g1 left: each remaining form keeps it or kills it
+    if len(g) == 2 and not all(_vanishes_at(f, -g[0], g[1]) for f in nonzero[k:]):
+        g = [1]
+    coeffs = [Fraction(c, g[-1]) for c in g] + [Fraction(0)] * inf_mult
+    return BinaryForm(len(coeffs) - 1, tuple(coeffs))
 
 
 def binary_form_gcd(forms: Sequence[BinaryForm]) -> BinaryForm:
     """Gcd of binary forms; positive degree iff a common complex root exists.
 
     The gcd is monic (its highest nonzero coefficient is 1), so it does not
-    depend on how each form is scaled.  An all-zero family yields the zero
-    form, which callers must treat as "everything vanishes" (every
-    direction is a common root).
+    depend on how each form is scaled: each form is cleared of
+    denominators and handed to gcd_of_integer_forms.  An all-zero family
+    yields the zero form, which callers must treat as "everything
+    vanishes" (every direction is a common root).
     """
-    nonzero = [f for f in forms if not f.is_zero]
-    if not nonzero:
-        return BinaryForm.zero()
-    # multiplicity of the common root at infinity: each form contributes
-    # degree minus dehomogenised degree
-    inf_mult = min(f.degree - (len(_dehomogenize(f)) - 1) for f in nonzero)
-    g: List[Fraction] = _dehomogenize(nonzero[0])
-    k = 1
-    while k < len(nonzero) and len(g) > 2:
-        g = _poly_gcd(g, _dehomogenize(nonzero[k]))
-        k += 1
-    if len(g) == 2:
-        # one finite root left: each remaining form keeps it or kills it
-        root = -g[0] / g[1]
-        if not all(_vanishes_at(h, root.numerator, root.denominator) for h in nonzero[k:]):
-            g = [Fraction(1)]
-    lead = g[-1]
-    coeffs = [c / lead for c in g] + [Fraction(0)] * inf_mult
-    return BinaryForm(len(coeffs) - 1, tuple(coeffs))
+    return gcd_of_integer_forms([integer_form(f.coefficients)[0] for f in forms])
 
 
 def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:

@@ -24,11 +24,10 @@ from typing import NamedTuple
 from . import __version__
 from .certify import CERTIFIED, certify_builtin, verify_bracket_identity, verify_xi_identity
 from .errors import CertificationError, InputError, PreconditionError, ShapeError
-from .geometry_left import (graph_member_l23, graph_necessary, is_stable_left,
-                            nullcone_member_left, stack, witness_curve_auto)
+from .geometry_left import (graph_rank_left, is_stable_left, nullcone_member_left,
+                            witness_curve_auto)
 from .geometry_lr import (GAMMA, UpperPair, classify_pair, classify_pair_any,
-                          graph_member_upper, is_stable_lr, m_matrix,
-                          nullcone_member_lr, phi)
+                          graph_rank_upper, is_stable_lr, nullcone_member_lr, phi)
 from .invariants import (LeftMatrix, MatrixTupleLR, generator_count_lr,
                          generators_lr, invariant_dim_left, invariant_dim_lr,
                          lower_bound_left, lower_bound_lr, minor_column_sets,
@@ -213,18 +212,21 @@ def _classify(first, second) -> dict:
 
 def _graph_lr(first, second) -> dict:
     if first.is_upper() and second.is_upper():
-        pair = UpperPair(first, second)
-        return {"member": graph_member_upper(pair), "stacked_rank": m_matrix(pair).rank()}
+        rank = graph_rank_upper(UpperPair(first, second))
+        return {"member": rank <= 3, "stacked_rank": rank}
     flags = classify_pair_any(first, second)
     return {"member": GAMMA in flags, "stacked_rank": None}
 
 
 def _graph_left(first, second) -> dict:
+    # the necessary condition is exact for l = 2 and l = 3 (graph_member_l23)
+    rank = graph_rank_left(first, second)
+    necessary = rank <= first.l
     decided = first.l in (2, 3)
-    return {"necessary": graph_necessary(first, second),
-            "member": graph_member_l23(first, second) if decided else None,
+    return {"necessary": necessary,
+            "member": necessary if decided else None,
             "note": None if decided else "necessary-only",
-            "stacked_rank": stack(first, second).rank()}
+            "stacked_rank": rank}
 
 
 def _curve(first, second) -> dict:

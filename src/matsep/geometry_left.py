@@ -71,14 +71,20 @@ def stack(A: LeftMatrix, A2: LeftMatrix) -> RMatrix:
     return A.matrix.vstack(A2.matrix)
 
 
+def graph_rank_left(A: LeftMatrix, A2: LeftMatrix) -> int:
+    """Rank of the stacked 2l x n matrix of a nullcone pair."""
+    if not (nullcone_member_left(A) and nullcone_member_left(A2)):
+        raise PreconditionError("not nullcone pair: a component has full rank")
+    return stack(A, A2).rank()
+
+
 def graph_necessary(A: LeftMatrix, A2: LeftMatrix) -> bool:
-    """Necessary condition for a nullcone pair to lie in the graph closure.
+    """Necessary condition for a nullcone pair to lie in the graph closure:
+    the stacked rank is at most l.
 
     False rules membership out; True is also sufficient for l <= 3.
     """
-    if not (nullcone_member_left(A) and nullcone_member_left(A2)):
-        raise PreconditionError("not nullcone pair: a component has full rank")
-    return stack(A, A2).rank() <= A.l
+    return graph_rank_left(A, A2) <= A.l
 
 
 def graph_member_l23(A: LeftMatrix, A2: LeftMatrix) -> bool:

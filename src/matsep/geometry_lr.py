@@ -17,6 +17,13 @@ both taken up to projective proportionality so the sets are closed.  The
 correspondence map sends row-pattern pairs onto column-proportional
 nullcone tuples and column-pattern pairs onto row-proportional ones; the
 identity tests in the certification module pin this down.
+
+Classification of a non-upper pair runs in integers: each upper
+representative's rows (a, b, d) are read off the tuple's integer form
+through an integer direction and the integer rows of its triangularizer,
+so no representative is built as matrices.  The pattern tests join
+vectors of both sides, so both sides are put over one scale per column
+before any proportionality is tested.
 """
 
 from __future__ import annotations
@@ -26,11 +33,12 @@ from fractions import Fraction
 from itertools import combinations, islice
 from typing import FrozenSet, List, Optional, Tuple
 
-from .binform import BinaryForm, binary_form_gcd, rational_projective_roots
+from .binform import BinaryForm, gcd_of_integer_forms, rational_projective_roots
 from .errors import PreconditionError, ShapeError
 from .invariants import MatrixTupleLR, generator_blocks
-from .matrix import RMatrix, adjugate, stack_rows
-from .separation import GroupElementLR, act_lr, separated_lr
+from .matrix import RMatrix, _bareiss, adjugate, stack_rows
+from .rational import integer_form
+from .separation import GroupElementLR, separated_lr
 
 ProjectivePoint = Tuple[Fraction, Fraction]
 
@@ -98,25 +106,27 @@ def direction_forms(A: MatrixTupleLR) -> List[BinaryForm]:
     A common projective root of all q_ij is exactly a direction v whose
     images A_1 v, ..., A_n v span at most a line.
     """
-    return _pair_forms(m.entries for m in A.matrices)
+    return [BinaryForm(2, c) for c in _pair_forms(m.entries for m in A.matrices)]
 
 
-def _pair_forms(quads) -> List[BinaryForm]:
-    """direction_forms of matrices given by row-major entry quadruples."""
+def _pair_forms(quads) -> list:
+    """Coefficients (v^2, uv, u^2) of the direction forms of matrices given
+    by row-major entry quadruples."""
     forms = []
     for (a_i, b_i, c_i, d_i), (a_j, b_j, c_j, d_j) in combinations(quads, 2):
         # det[(a_i v1 + b_i v2, c_i v1 + d_i v2) | (same for j)]
         c_uu = a_i * c_j - a_j * c_i
         c_uv = a_i * d_j + b_i * c_j - a_j * d_i - b_j * c_i
         c_vv = b_i * d_j - b_j * d_i
-        forms.append(BinaryForm(2, (c_vv, c_uv, c_uu)))
+        forms.append((c_vv, c_uv, c_uu))
     return forms
 
 
 def _direction_gcd(A: MatrixTupleLR) -> BinaryForm:
     """The monic gcd of the direction forms, taken over the integer form:
-    each form is scaled by q_i q_j, which leaves the monic gcd unchanged."""
-    return binary_form_gcd(_pair_forms(A.integer_form[0]))
+    each form is scaled by q_i q_j, which leaves the monic gcd unchanged,
+    and its integer coefficients go to the gcd as they are."""
+    return gcd_of_integer_forms(_pair_forms(A.integer_form[0]))
 
 
 def common_directions(A: MatrixTupleLR) -> Optional[List[ProjectivePoint]]:
@@ -218,8 +228,14 @@ def phi_inverse(img: PhiImage) -> UpperPair:
     return UpperPair(MatrixTupleLR(tuple(first)), MatrixTupleLR(tuple(second)))
 
 
-def _proportional_rows(row1, row2) -> bool:
-    return stack_rows([row1, row2]).rank() <= 1
+def _proportional(xs, ys) -> bool:
+    """Whether two equal-length rows (ints or Fractions) span at most a
+    line: every column (x, y) is parallel to the first nonzero one."""
+    pivot = next(((x, y) for x, y in zip(xs, ys) if x or y), None)
+    if pivot is None:
+        return True
+    px, py = pivot
+    return all(x * py == y * px for x, y in zip(xs, ys))
 
 
 def in_dr(B: MatrixTupleLR) -> bool:
@@ -231,32 +247,42 @@ def in_dr(B: MatrixTupleLR) -> bool:
     """
     top = B.entry_vector(0, 0) + B.entry_vector(0, 1)
     bottom = B.entry_vector(1, 0) + B.entry_vector(1, 1)
-    return _proportional_rows(top, bottom) and nullcone_member_lr(B)
+    return _proportional(top, bottom) and nullcone_member_lr(B)
 
 
 def in_dc(B: MatrixTupleLR) -> bool:
     """Column-proportional nullcone component (common right null vector)."""
     left = B.entry_vector(0, 0) + B.entry_vector(1, 0)
     right = B.entry_vector(0, 1) + B.entry_vector(1, 1)
-    return _proportional_rows(left, right) and nullcone_member_lr(B)
+    return _proportional(left, right) and nullcone_member_lr(B)
 
 
-def _row_pattern(p: UpperPair) -> bool:
-    return _proportional_rows(p.d2_vec() + p.a_vec(), p.d_vec() + p.a2_vec())
+GAMMA = "GAMMA"
+CR = "CR"
+CC = "CC"
 
 
-def _column_pattern(p: UpperPair) -> bool:
-    return _proportional_rows(p.a2_vec() + p.a_vec(), p.d_vec() + p.d2_vec())
+def _patterns(a, d, a2, d2) -> set:
+    """The pattern flags of an upper pair's diagonal vectors, given as
+    Fractions or as integers over one scale per column shared by both
+    sides: CR when (d', a) and (d, a') are proportional, CC when (a', a)
+    and (d, d') are."""
+    return {flag for flag, (xs, ys) in ((CR, (d2 + a, d + a2)), (CC, (a2 + a, d + d2)))
+            if _proportional(xs, ys)}
+
+
+def _diagonals(p: UpperPair) -> tuple:
+    return p.a_vec(), p.d_vec(), p.a2_vec(), p.d2_vec()
 
 
 def in_cr(p: UpperPair) -> bool:
     """Row pattern: (d, a') proportional to (d', a), and non-separated."""
-    return not separated_lr(p.first, p.second).separated and _row_pattern(p)
+    return not separated_lr(p.first, p.second).separated and CR in _patterns(*_diagonals(p))
 
 
 def in_cc(p: UpperPair) -> bool:
     """Column pattern: (d, d') proportional to (a', a), and non-separated."""
-    return not separated_lr(p.first, p.second).separated and _column_pattern(p)
+    return not separated_lr(p.first, p.second).separated and CC in _patterns(*_diagonals(p))
 
 
 def m_matrix(p: UpperPair) -> RMatrix:
@@ -280,19 +306,19 @@ def _require_non_separated(A: MatrixTupleLR, A2: MatrixTupleLR):
         raise PreconditionError("not in separating variety: the pair is separated")
 
 
+def graph_rank_upper(p: UpperPair) -> int:
+    """Rank of the six stacked rows of a non-separated upper pair."""
+    _require_non_separated(p.first, p.second)
+    return m_matrix(p).rank()
+
+
 def graph_member_upper(p: UpperPair) -> bool:
     """Graph-closure membership for a non-separated upper pair.
 
     Holds exactly when the six stacked rows span at most three
     dimensions.
     """
-    _require_non_separated(p.first, p.second)
-    return m_matrix(p).rank() <= 3
-
-
-GAMMA = "GAMMA"
-CR = "CR"
-CC = "CC"
+    return graph_rank_upper(p) <= 3
 
 
 def classify_pair(p: UpperPair) -> FrozenSet[str]:
@@ -309,13 +335,9 @@ def classify_pair(p: UpperPair) -> FrozenSet[str]:
 
 def _flags_of_non_separated(p: UpperPair) -> FrozenSet[str]:
     """classify_pair for a pair already known to be non-separated."""
-    flags = set()
+    flags = _patterns(*_diagonals(p))
     if m_matrix(p).rank() <= 3:
         flags.add(GAMMA)
-    if _row_pattern(p):
-        flags.add(CR)
-    if _column_pattern(p):
-        flags.add(CC)
     return frozenset(flags)
 
 
@@ -324,20 +346,62 @@ _FALLBACK_DIRECTIONS = ((Fraction(1), Fraction(0)),
                         (Fraction(1), Fraction(1)))
 
 
+def _upper_rows(A: MatrixTupleLR, v: ProjectivePoint) -> tuple:
+    """Rows (a, b, d, scale) of the upper representative
+    act_lr(triangularizer_for_direction(A, v), A), read off A's integer
+    form with v scaled to integers (which moves the representative by a
+    diagonal determinant-one factor and changes no flag).  Entry i of a,
+    b and d is an integer over scale[i] = q_i e f, where e is the
+    denominator of the right factor's second column and f of the left
+    factor's second row.
+    """
+    ints, scale = A.integer_form
+    v1, v2 = integer_form(v)[0]
+    images = [(x0 * v1 + x1 * v2, x2 * v1 + x3 * v2) for x0, x1, x2, x3 in ints]
+    # the left factor's rows over f: the second annihilates the first nonzero
+    # image (p0, p1); with every image zero, (1, 0) gives the identity
+    p0, p1 = next((im for im in images if im != (0, 0)), (1, 0))
+    (r00, r01), (r10, r11), f = ((1, 0), (-p1, p0), p0) if p0 else ((0, -1), (1, 0), 1)
+    # the right factor: first column v, second column (0, 1/v1) or (-1/v2, 0)
+    (h0, h1), e = ((0, 1), v1) if v1 else ((-1, 0), v2)
+    a, b, d = [], [], []
+    for (x0, x1, x2, x3), (y0, y1) in zip(ints, images):
+        z0, z1 = x0 * h0 + x1 * h1, x2 * h0 + x3 * h1
+        a.append((r00 * y0 + r01 * y1) * e * f)
+        b.append((r00 * z0 + r01 * z1) * f)
+        d.append(r10 * z0 + r11 * z1)
+    return a, b, d, [q * e * f for q in scale]
+
+
+def _joint_rows(first: tuple, second: tuple) -> list:
+    """Rows (a, b, d, a', b', d') of two representatives over one scale per
+    column: each side's rows times the other side's column scales.  The
+    pattern tests join vectors of both sides, so a scale per side would
+    change their answer."""
+    *rows1, scale1 = first
+    *rows2, scale2 = second
+    return ([[x * s for x, s in zip(row, scale2)] for row in rows1]
+            + [[x * s for x, s in zip(row, scale1)] for row in rows2])
+
+
 def classify_pair_any(A: MatrixTupleLR, A2: MatrixTupleLR) -> FrozenSet[str]:
     """Component flags for an arbitrary non-separated pair.
 
     Stable non-separated pairs share a closed orbit, so they sit on the
     graph itself.  Non-stable pairs are reduced to upper-triangular
     representatives, one per rational common direction on each side, and
-    the flags are unioned over representatives (pattern membership only
-    depends on the direction choice up to the triangular stabiliser).
-    GAMMA is exact for any representative; when a side admits every
-    direction, the enumeration falls back to three canonical directions
-    and CR/CC are a sound but possibly incomplete under-approximation.
-    Sides with only irrational directions are rejected.  Separation is
-    checked once, for the input pair: the representatives are translates
-    of it, and the action preserves every invariant exactly.
+    the pattern flags are unioned over representatives (pattern
+    membership only depends on the direction choice up to the triangular
+    stabiliser).  GAMMA is exact for any representative, so it is decided
+    once, on the first; when a side admits every direction, the
+    enumeration falls back to three canonical directions and CR/CC are a
+    sound but possibly incomplete under-approximation.  Sides with only
+    irrational directions are rejected.  Separation is checked once, for
+    the input pair: the representatives are translates of it, and the
+    action preserves every invariant exactly.  The representatives are
+    never built as matrices: their rows are read off the integer forms
+    (_upper_rows) and tested as integers, the stacked rank by the Bareiss
+    kernel and the patterns by cross-multiplication.
     """
     _require_non_separated(A, A2)
 
@@ -357,7 +421,9 @@ def classify_pair_any(A: MatrixTupleLR, A2: MatrixTupleLR) -> FrozenSet[str]:
     cand_a = _FALLBACK_DIRECTIONS if dirs_a is None else tuple(dirs_a)
     cand_b = _FALLBACK_DIRECTIONS if dirs_b is None else tuple(dirs_b)
 
-    reps_a = [act_lr(triangularizer_for_direction(A, v), A) for v in cand_a]
-    reps_b = [act_lr(triangularizer_for_direction(A2, v), A2) for v in cand_b]
-    return frozenset().union(*(_flags_of_non_separated(UpperPair(ua, ub))
-                               for ua in reps_a for ub in reps_b))
+    reps_b = [_upper_rows(A2, v) for v in cand_b]
+    joint = [_joint_rows(_upper_rows(A, v), ub) for v in cand_a for ub in reps_b]
+    flags = {GAMMA} if len(_bareiss(joint[0], A.n)[1]) <= 3 else set()
+    for a, _, d, a2, _, d2 in joint:
+        flags |= _patterns(a, d, a2, d2)
+    return frozenset(flags)

@@ -25,7 +25,6 @@ from random import Random
 from matsep import (BinaryForm, LaurentPoly, LeftMatrix, MatrixTupleLR, PreconditionError,
                     RMatrix, ShapeError, SparsePoly, GroupElementL, GroupElementLR,
                     binary_form_gcd, bracket, det_inv, poly_expand_det, rat)
-from matsep.binform import _dehomogenize, _poly_gcd
 from matsep.certify import (CERTIFIED, FAILED, LOWER_BOUND_ONLY, CertificationError,
                             DimensionCertificate, _sample_point, jacobian)
 from matsep.laurent import _collect, _products
@@ -732,6 +731,42 @@ class LaurentMatrixByFractions:
 
 
 # -- binary forms -----------------------------------------------------------------
+
+
+def _strip(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _dehomogenize(form: BinaryForm) -> list:
+    """q(x, 1) as a Fraction coefficient list; drops the power of v at infinity."""
+    return _strip(list(form.coefficients))
+
+
+def _poly_divmod(num: list, den: list):
+    num = list(num)
+    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    while len(num) >= len(den) and _strip(num):
+        shift = len(num) - len(den)
+        factor = num[-1] / den[-1]
+        q[shift] = factor
+        for i, d in enumerate(den):
+            num[shift + i] -= factor * d
+        _strip(num)
+    return q, num
+
+
+def _poly_gcd(p: list, q: list) -> list:
+    """Monic gcd of univariate Fraction polynomials (Euclid)."""
+    a, b = _strip(list(p)), _strip(list(q))
+    while b:
+        _, r = _poly_divmod(a, b)
+        a, b = b, _strip(r)
+    if not a:
+        return []
+    lead = a[-1]
+    return [c / lead for c in a]
 
 
 def binary_form_gcd_by_euclid(forms) -> BinaryForm:

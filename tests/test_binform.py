@@ -233,3 +233,46 @@ def _families(draw):
 @given(_families())
 def test_gcd_families_match_euclid_oracle(forms):
     assert binary_form_gcd(forms) == binary_form_gcd_by_euclid(forms)
+
+
+PRIMES_36 = (68719476731, 68719476719, 68719476713, 68719476671, 34359738421, 34359738451)
+
+
+@st.composite
+def _wide_families(draw):
+    """Forms of degree at most five sharing a few linear factors, among them
+    roots p/q with 36-bit primes p and q and the root at infinity, each
+    scaled by a wide Fraction; zero forms of every degree come up too."""
+    prime = st.sampled_from(PRIMES_36)
+    linear = st.one_of(st.builds(lambda p, q: (-p, q), prime, prime),
+                       st.sampled_from((V, U_MINUS_2V, U_PLUS_V, (0, 1))))
+    scale = st.builds(Fraction, st.integers(1, 10 ** 9) | st.integers(-10 ** 9, -1),
+                      st.integers(1, 10 ** 9))
+    shared = draw(st.lists(linear, max_size=2))
+    forms = []
+    for _ in range(draw(st.integers(1, 6))):
+        pick = draw(st.integers(0, 5))
+        if pick == 0:
+            degree = draw(st.integers(0, 3))
+            forms.append(BinaryForm(degree, (Fraction(0),) * (degree + 1)))
+        else:
+            extra = draw(st.lists(linear, max_size=3 if pick == 1 else 1))
+            forms.append(times((draw(scale),), *(shared if pick > 1 else []), *extra))
+    return forms
+
+
+@settings(max_examples=200)
+@given(_wide_families())
+def test_integer_gcd_matches_euclid_oracle_on_wide_roots(forms):
+    g = binary_form_gcd(forms)
+    assert g == binary_form_gcd_by_euclid(forms)
+    assert all(type(c) is Fraction for c in g.coefficients)
+
+
+def test_integer_gcd_keeps_a_36_bit_prime_root():
+    p, q = PRIMES_36[:2]
+    root = (-p, q)
+    forms = [times((Fraction(3, 7),), root, U_PLUS_V), times((Fraction(-5, 2),), root, V),
+             times(root, root), BinaryForm.zero()]
+    assert binary_form_gcd(forms) == BinaryForm(1, (Fraction(-p, q), Fraction(1)))
+    assert rational_projective_roots(binary_form_gcd(forms)) == [(Fraction(p, q), Fraction(1))]

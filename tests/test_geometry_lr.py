@@ -2,8 +2,9 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from matsep import (MatrixTupleLR, PhiImage, PreconditionError, RMatrix,
+from matsep import (GroupElementLR, MatrixTupleLR, PhiImage, PreconditionError, RMatrix,
                     UpperPair, act_lr, classify_pair, classify_pair_any,
                     common_directions, graph_member_upper, in_cc, in_cr, in_dc,
                     in_dr, is_stable_lr, m_c, m_matrix, m_r, nullcone_member_lr,
@@ -462,3 +463,95 @@ def test_classify_matches_predicates_one_by_one():
             assert not in_cr(p) and not in_cc(p)
         else:
             assert classify_pair(p) == _flags_one_by_one(p)
+
+
+# -- classify_pair_any on integer rows, against the representatives ---------------
+
+_WIDE = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 1, 2, 3, 5, 7, 2 ** 31 - 1)))
+
+
+@st.composite
+def _sl2(draw):
+    """A determinant-one 2 x 2 matrix: a product of shears and diagonal
+    scalings with Fraction parameters."""
+    g = RMatrix.identity(2)
+    for kind, t in draw(st.lists(st.tuples(st.sampled_from("uld"), _WIDE), max_size=4)):
+        if kind == "u":
+            g = g @ RMatrix.from_rows([[1, t], [0, 1]])
+        elif kind == "l":
+            g = g @ RMatrix.from_rows([[1, 0], [t, 1]])
+        elif t:
+            g = g @ RMatrix.from_rows([[t, 0], [0, 1 / t]])
+    return g
+
+
+@st.composite
+def _translated_non_separated_pairs(draw):
+    """A non-separated upper pair of one of four kinds, each side then moved
+    by its own group element.  Row and column patterns come from a
+    row- or column-proportional B = phi(pair), the triangular kind from a
+    conjugated upper nullcone B, and the orbit kind pairs an upper tuple
+    with a translate of itself.  Tying y or b to x, or a zero lam, makes a
+    side admit every direction, so the fallback directions come up."""
+    n = draw(st.integers(1, 5))
+    vec = st.lists(_WIDE, min_size=n, max_size=n)
+    x = draw(vec)
+
+    def tied():
+        return [draw(_WIDE) * e for e in x] if draw(st.booleans()) else draw(vec)
+
+    lam = draw(st.sampled_from((Fraction(0), Fraction(1)))) * draw(_WIDE)
+    kind = draw(st.sampled_from(("row", "col", "triangular", "orbit")))
+    if kind == "orbit":
+        d = [Fraction(0)] * n if lam == 0 else tied()
+        A = MatrixTupleLR(tuple(RMatrix(2, 2, [xi, bi, 0, di])
+                                for xi, bi, di in zip(x, tied(), d)))
+        first, second = A, act_lr(GroupElementLR(draw(_sl2()), draw(_sl2())), A)
+    else:
+        y = tied()
+        if kind == "row":
+            B = [[xi, yi, lam * xi, lam * yi] for xi, yi in zip(x, y)]
+        elif kind == "col":
+            B = [[xi, lam * xi, yi, lam * yi] for xi, yi in zip(x, y)]
+        else:
+            U = MatrixTupleLR(tuple(RMatrix(2, 2, [xi, yi, 0, 0] if lam else [0, yi, 0, xi])
+                                    for xi, yi in zip(x, y)))
+            B = [m.entries for m in act_lr(GroupElementLR(draw(_sl2()), draw(_sl2())),
+                                           U).matrices]
+        B = MatrixTupleLR(tuple(RMatrix(2, 2, e) for e in B))
+        p = phi_inverse(PhiImage(B, tuple(tied()), tuple(tied())))
+        first, second = p.first, p.second
+    return (act_lr(GroupElementLR(draw(_sl2()), draw(_sl2())), first),
+            act_lr(GroupElementLR(draw(_sl2()), draw(_sl2())), second))
+
+
+@settings(max_examples=150)
+@given(_translated_non_separated_pairs())
+def test_classify_pair_any_matches_representatives_one_by_one(pair):
+    A, B = pair
+    assert not separated_lr(A, B).separated
+    flags = classify_pair_any(A, B)
+    assert flags == _flags_any_one_by_one(A, B)
+    assert flags
+
+
+def test_classify_pair_any_builds_no_representative(monkeypatch):
+    # the representatives' rows come from the integer forms: with the
+    # matrix route unavailable the flags are still the representatives'
+    import matsep.geometry_lr as geometry_lr
+    rng = Random(640)
+    pairs = []
+    for trial in range(24):
+        p = _random_non_separated_upper_pair(rng, trial)
+        pairs.append((act_lr(rand_group_lr(rng), p.first), act_lr(rand_group_lr(rng), p.second)))
+    x = [Fraction(2, 3), Fraction(-5), Fraction(1, 7)]
+    flat = MatrixTupleLR(tuple(RMatrix(2, 2, [e, 3 * e, 0, -e]) for e in x))
+    pairs.append((act_lr(rand_group_lr(rng), flat), act_lr(rand_group_lr(rng), flat)))
+    assert common_directions(pairs[-1][0]) is None
+    expected = [_flags_any_one_by_one(A, B) for A, B in pairs]
+
+    def refuse(*_):
+        raise AssertionError("a representative was built as matrices")
+    monkeypatch.setattr(geometry_lr, "act_lr", refuse, raising=False)
+    monkeypatch.setattr(geometry_lr, "triangularizer_for_direction", refuse)
+    assert [classify_pair_any(A, B) for A, B in pairs] == expected

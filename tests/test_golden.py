@@ -23,7 +23,10 @@ its matrix from the chart-free base map with no chart evaluated
 acts on a square block, and for gamma, sat-cc and sat-cr-cc at n = 5
 with two trials), and before each graph closure's repeated block was
 written minus its first output (`certify` for gamma at n = 8 and
-gamma-left at (l, n) = (4, 8)), so ranks,
+gamma-left at (l, n) = (4, 8)), and before classification read its
+upper representatives off the integer forms (`classify` on a conjugated
+double-pattern pair whose first side admits every direction, so it takes
+the three fallback directions), so ranks,
 minors, witness points, directions and verdicts are pinned, not
 re-derived.  Document commands run from tests/golden/,
 so the report echoes each document's bare file name.
@@ -97,6 +100,8 @@ DOCUMENT_CASES = [
     ("separate_lr_xi_block_n5.txt", ["separate", "lr_xi_block_n5.json"]),
     ("classify_conjugated_n5.txt", ["classify", "lr_conjugated_n5.json"]),
     ("graph_conjugated_n5.txt", ["graph", "lr_conjugated_n5.json"]),
+    ("classify_conjugated_double_fallback_n5.txt",
+     ["classify", "lr_conjugated_double_fallback_n5.json"]),
     ("curve_left_l2_n4.txt", ["curve", "curve_left_l2_n4.json"]),
     ("curve_left_l3_second_n5.txt", ["curve", "curve_left_l3_second_n5.json"]),
     ("curve_left_l3_zero_second_n5.txt",
