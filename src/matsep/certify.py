@@ -76,6 +76,13 @@ CERTIFIED = "CERTIFIED"
 LOWER_BOUND_ONLY = "LOWER_BOUND_ONLY"
 FAILED = "FAILED"
 
+# Each trial builds its Jacobian as dense rows of Python ints, about 20
+# bytes an entry, so certify_dimension refuses a parameterization whose
+# output_count * param_count exceeds this (some 80 MB a trial) rather
+# than run out of memory.  Every builtin claim up to n = 100 and up to
+# (l, n) = (10, 40) stays below it.
+MAX_JACOBIAN_ENTRIES = 4_000_000
+
 
 @dataclass(frozen=True)
 class Orbit:
@@ -202,10 +209,15 @@ def certify_dimension(param: Parameterization, claimed: int,
 
     Each rank is taken at the sample moved to the identity of its group
     charts, where it is the same (see the module docstring); the
-    witness is the sample itself.
+    witness is the sample itself.  A Jacobian of more than
+    MAX_JACOBIAN_ENTRIES entries is refused before any sample.
     """
     if trials < 1:
         raise PreconditionError("at least one trial is required")
+    if param.output_count * param.param_count > MAX_JACOBIAN_ENTRIES:
+        raise PreconditionError(
+            f"{param.name}: a {param.output_count} x {param.param_count} Jacobian "
+            f"exceeds the limit of {MAX_JACOBIAN_ENTRIES} entries")
     best, witness = -1, None
     group = set(param.group_coords)
     for trial in range(trials):

@@ -16,8 +16,10 @@ import argparse
 import gc
 import hashlib
 import json
+import shutil
 import sys
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import NamedTuple
 
@@ -376,8 +378,10 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Each stock formatter queries the terminal for this width; query it once.
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="matsep",
+        prog="matsep", formatter_class=formatter,
         description="Exact decision procedures for matrix semi-invariants. "
                     "Row/column labels follow the explicit diagonal "
                     "proportionality patterns; the upper-pair correspondence "
@@ -385,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "tuples and vice versa.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, formatter_class=formatter)
         if isinstance(command.action, dict):
             p.add_argument("file", help="input document (JSON with exact rationals)")
         p.add_argument("--format", choices=("structured", "text"), default="structured")

@@ -10,7 +10,7 @@ from matsep import (CertificationError, ChartSingularityError, LeftMatrix,
                     certify_builtin, certify_dimension, generators_lr,
                     is_stable_lr, jacobian, m_matrix, act_lr, separated_lr,
                     sl2_chart, verify_bracket_identity, verify_xi_identity)
-from matsep.certify import CERTIFIED, FAILED, LOWER_BOUND_ONLY
+from matsep.certify import CERTIFIED, FAILED, LOWER_BOUND_ONLY, MAX_JACOBIAN_ENTRIES
 from helpers import bareiss_rank, certify_all_trials, rand_fraction
 
 
@@ -541,3 +541,21 @@ def test_a_saturation_at_its_claim_below_the_bound_draws_every_trial(monkeypatch
     calls = _counted_samples(monkeypatch)
     cert = certify_dimension(param, 21, trials=5, seed=0)
     assert (cert.verdict, len(calls)) == (CERTIFIED, 5)
+
+
+@pytest.mark.parametrize("l,n", [(None, 100), (10, 40)])
+def test_the_jacobian_limit_admits_every_builtin_claim(l, n):
+    for row in builtin_claims(n, l):
+        param = builtin_parameterization(row.name, n, l)
+        assert param.output_count * param.param_count <= MAX_JACOBIAN_ENTRIES, row.name
+
+
+@pytest.mark.parametrize("l,n,name", [(None, 100_000, "gamma"), (None, 354, "gamma"),
+                                      (10, 10**9, "nullcone-pair-left")])
+def test_an_oversize_jacobian_is_refused_before_any_sample(monkeypatch, l, n, name):
+    param = builtin_parameterization(name, n, l)
+    calls = _counted_samples(monkeypatch)
+    limit = f"exceeds the limit of {MAX_JACOBIAN_ENTRIES} entries"
+    with pytest.raises(PreconditionError, match=limit):
+        certify_dimension(param, 1, trials=1, seed=0)
+    assert calls == []

@@ -79,3 +79,29 @@ def test_wrong_document_kinds_are_precondition_errors():
         for pin in refusals:
             assert (pin["code"], pin["stdout"]) == (3, "")
             assert pin["stderr"].endswith(" document\n") and pin["stderr"].count("\n") == 1
+
+
+def test_main_reads_the_terminal_width_once(monkeypatch):
+    """A report, a document report, help and a usage error each make one
+    terminal query: every formatter of the call's parser shares it."""
+    import shutil
+    calls, query = [], shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return query(*args, **kwargs)
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    monkeypatch.chdir(GOLDEN)
+    for argv, code in ((["counts", "--n", "4"], 0), (["nullcone", DOCUMENTS["lr-tuple"]], 0),
+                       (["certify", "--help"], 0), (["counts", "--n", "x"], 2)):
+        calls.clear()
+        assert run_main(argv)["code"] == code
+        assert len(calls) == 1, argv
+
+
+@pytest.mark.parametrize("columns, wraps", [("200", False), ("40", True)])
+def test_help_follows_the_terminal_width(columns, wraps, monkeypatch):
+    monkeypatch.setenv("COLUMNS", columns)
+    usage = run_main(["--help"])["stdout"].split("\n\n")[0]
+    assert usage.startswith("usage: matsep [-h]") and "{invariants," in usage
+    assert ("\n" in usage) is wraps

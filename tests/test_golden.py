@@ -29,11 +29,13 @@ double-pattern pair whose first side admits every direction, so it takes
 the three fallback directions), so ranks,
 minors, witness points, directions and verdicts are pinned, not
 re-derived.  Document commands run from tests/golden/,
-so the report echoes each document's bare file name.
+so the report echoes each document's bare file name.  A refusal's
+golden file is its one stderr line, with exit code 3 and no report.
 """
 
 import io
-from contextlib import redirect_stdout
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -112,6 +114,11 @@ DOCUMENT_CASES = [
      ["curve", "curve_left_l3_generic_n5.json", "--format", "text"]),
 ]
 
+REFUSAL_CASES = [
+    ("certify_n100000_gamma_trials1_refusal.txt",
+     ["certify", "--n", "100000", "--claims", "gamma", "--trials", "1"]),
+]
+
 
 def _assert_matches_golden(name, argv):
     out = io.StringIO()
@@ -132,8 +139,19 @@ def test_document_report_matches_golden(name, argv, monkeypatch):
     _assert_matches_golden(name, argv)
 
 
+@pytest.mark.parametrize("name,argv", REFUSAL_CASES, ids=[c[0] for c in REFUSAL_CASES])
+def test_refusal_matches_golden_at_once(name, argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out.getvalue()) == (3, "")
+    assert err.getvalue().encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
 def test_every_golden_report_is_referenced_and_present():
-    referenced = {name for name, _ in CASES + DOCUMENT_CASES}
+    referenced = {name for name, _ in CASES + DOCUMENT_CASES + REFUSAL_CASES}
     on_disk = {p.name for p in GOLDEN.glob("*.txt")}
     assert not on_disk - referenced, "golden reports no case checks"
     assert not referenced - on_disk, "cases whose golden report is missing"
