@@ -67,8 +67,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .dual import jacobian_of
 from .errors import CertificationError, ChartSingularityError, PreconditionError
-from .matrix import (IntegerRowMatrix, RMatrix, adjugate, cofactor_det,
-                     grid_product as _gmul)
+from .matrix import RMatrix, adjugate, cofactor_det, grid_product as _gmul
 from .rational import rat
 from .sparsepoly import SparsePoly, poly_expand_det
 
@@ -151,7 +150,7 @@ class Orbit:
                 for row, col, i, j, coef in terms:
                     out[row][col] += coef * m[i][j]
             rows += block
-        return IntegerRowMatrix(rows, len(at), [1] * len(rows))
+        return RMatrix.from_integer_rows(rows, len(at), [1] * len(rows))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Batch command-line interface.
 
 Reads self-describing JSON documents with exact rational entries (ints
-or "p/q" strings, never decimals), runs the requested decision procedure
+or "p/q" strings, never decimals) straight into integer rows over row
+scales, with no Fraction per entry, runs the requested decision procedure
 and writes a deterministic report: identical inputs, flags and seed give
 byte-identical output.  Exit codes: 0 success, 2 input error, 3
 precondition violation, 4 certification failure.
@@ -35,46 +36,74 @@ from .invariants import (LeftMatrix, MatrixTupleLR, generator_count_lr,
                          lower_bound_left, lower_bound_lr, minor_column_sets,
                          minors_left)
 from .matrix import RMatrix
-from .rational import format_rational, parse_rational
+from .rational import format_rational, literal_parts, ratio_rows
 from .separation import separated_left, separated_lr
 
 
 # -- input documents ----------------------------------------------------------
 
 
-def _entry(value) -> Fraction:
+def _entry(value) -> tuple:
+    """(p, q) of one entry in lowest terms: an int, or a 'p' or 'p/q' string."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
         try:
-            return parse_rational(value)
+            (p,), (q,) = literal_parts([value])
         except ValueError as exc:
             raise InputError(str(exc)) from None
+        return p, q
     raise InputError(f"entries must be integers or 'p/q' strings, got {value!r}")
 
 
-def _parse_matrix2(data) -> RMatrix:
-    if (not isinstance(data, list) or len(data) != 2
-            or any(not isinstance(r, list) or len(r) != 2 for r in data)):
-        raise InputError("a 2x2 matrix must be a list of two rows of two entries")
-    return RMatrix(2, 2, [_entry(e) for row in data for e in row])
+def _document_rows(rows: list, width: int) -> tuple:
+    """(ints, scales) of rows of `width` entries: row r is ints[r] over
+    scales[r], the lcm of its denominators.  Rows of literals are read in
+    one pass; other rows entry by entry, which reports the first bad
+    entry in reading order."""
+    entries = [e for row in rows for e in row]
+    try:
+        nums, dens = literal_parts(entries)
+    except (AttributeError, ValueError):
+        parts = [_entry(e) for e in entries]
+        nums, dens = [p for p, _ in parts], [q for _, q in parts]
+    return ratio_rows(nums, dens, len(rows), width)
+
+
+def _is_matrix2(data) -> bool:
+    return (isinstance(data, list) and len(data) == 2
+            and isinstance(data[0], list) and len(data[0]) == 2
+            and isinstance(data[1], list) and len(data[1]) == 2)
+
+
+def _parse_matrices2(data: list) -> list:
+    """The 2x2 matrices of a list, their entries read in one pass.  The
+    first fault in reading order is reported: a bad entry before the
+    first malformed matrix, else that matrix."""
+    for k, m in enumerate(data):
+        if not _is_matrix2(m):
+            _document_rows([row for m in data[:k] for row in m], 2)
+            raise InputError("a 2x2 matrix must be a list of two rows of two entries")
+    ints, scales = _document_rows([row for m in data for row in m], 2)
+    return [RMatrix.from_integer_rows([top, bottom], 2, [s, t]) for top, bottom, s, t
+            in zip(ints[::2], ints[1::2], scales[::2], scales[1::2])]
 
 
 def _parse_tuple(data, n: int) -> MatrixTupleLR:
     if not isinstance(data, list) or len(data) != n:
         raise InputError(f"expected {n} matrices")
-    return MatrixTupleLR(tuple(_parse_matrix2(m) for m in data))
+    return MatrixTupleLR(tuple(_parse_matrices2(data)))
 
 
 def _parse_left(data, l: int, n: int) -> LeftMatrix:
     if not isinstance(data, list) or len(data) != l:
         raise InputError(f"expected {l} rows")
-    rows = []
-    for row in data:
+    for k, row in enumerate(data):
         if not isinstance(row, list) or len(row) != n:
+            _document_rows(data[:k], n)
             raise InputError(f"expected rows of length {n}")
-        rows.append([_entry(e) for e in row])
-    return LeftMatrix(RMatrix.from_rows(rows))
+    ints, scales = _document_rows(data, n)
+    return LeftMatrix(RMatrix.from_integer_rows(ints, n, scales))
 
 
 def _size(data: dict, key: str) -> int:
@@ -174,7 +203,23 @@ def _witness_json(report):
 # _KINDS lists them: the tuple or matrix, or the first and second of a pair.
 
 
+# `invariants` refuses, before evaluating any value, a report of more
+# values than this: about 3.5 MB of JSON, under 0.5 s for an lr-tuple and
+# about 4 s for a 12-row left matrix (minors cost more as l grows), with
+# Python 3.11 on a shared VM.  Every golden and benchmark input holds at
+# most 70.
+MAX_REPORT_VALUES = 20_000
+
+
+def _require_report_size(count: int, holder: str, values: str) -> None:
+    if count > MAX_REPORT_VALUES:
+        raise PreconditionError(f"{holder} has {count} {values}, more than the limit of "
+                                f"{MAX_REPORT_VALUES} reported values")
+
+
 def _invariants_lr(tup) -> dict:
+    _require_report_size(generator_count_lr(tup.n), f"an n = {tup.n} tuple",
+                         "generating invariants")
     gv = generators_lr(tup)
     values = [{"kind": k, "indices": list(idx), "value": format_rational(v)}
               for (k, idx), v in gv.labeled()]
@@ -182,6 +227,7 @@ def _invariants_lr(tup) -> dict:
 
 
 def _invariants_left(A) -> dict:
+    _require_report_size(comb(A.n, A.l), f"a {A.l} x {A.n} left matrix", "maximal minors")
     minors = [{"columns": list(cols), "value": format_rational(v)}
               for cols, v in zip(minor_column_sets(A.l, A.n), minors_left(A))]
     return {"count": len(minors), "minors": minors}

@@ -16,8 +16,8 @@ taken of the form divided by its content.  `.value` and `.partials`
 read as reduced Fractions, the partials as the dense tuple.
 
 A Jacobian row is then an integer vector over one denominator, so
-`jacobian_of` hands the partial numerators to an `IntegerRowMatrix` as
-the row's integer form; rank and det start from it, and the Fraction
+`jacobian_of` hands the partial numerators to `RMatrix.from_integer_rows`
+as the row's integer form; rank and det start from it, and the Fraction
 entries are built only if someone reads them.  The guards and the seeds
 read each point coordinate once, an int as it is and anything else
 through `rat`, so an integer point builds no Fraction at all.
@@ -30,7 +30,7 @@ from math import gcd
 from typing import Callable, Sequence
 
 from .errors import ChartSingularityError, ShapeError
-from .matrix import IntegerRowMatrix, RMatrix
+from .matrix import RMatrix
 from .rational import integer_form, rat
 
 _EMPTY: dict = {}
@@ -226,4 +226,4 @@ def jacobian_of(evaluator: Callable, point: Sequence,
         else:
             scales.append(1)
         rows.append(row)
-    return IntegerRowMatrix(rows, k, scales)
+    return RMatrix.from_integer_rows(rows, k, scales)

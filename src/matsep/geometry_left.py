@@ -24,8 +24,8 @@ from typing import Optional, Tuple
 from .errors import PreconditionError, ShapeError
 from .invariants import LeftMatrix
 from .laurent import LaurentMatrix
-from .matrix import IntegerRowMatrix, RMatrix, _bareiss, adjugate, grid_product
-from .rational import integer_form
+from .matrix import RMatrix, _bareiss, adjugate, grid_product
+from .rational import common_scale, integer_form
 from .separation import GroupElementL
 
 
@@ -101,11 +101,17 @@ def _integer_grid(rows) -> Tuple[list, int]:
     return [flat[i * k:(i + 1) * k] for i in range(len(rows))], scale
 
 
+def _stacked_rows(*matrices) -> Tuple[list, int]:
+    """The matrices' rows, stacked, as integer rows over one scale."""
+    return common_scale([row for m in matrices for row in m._nums],
+                        [s for m in matrices for s in m._scales])
+
+
 def _echelon_rows(A: LeftMatrix) -> tuple:
     """(rows, scale, pivots) of the forward Bareiss kernel on [L A | L I],
-    L the lcm of A's denominators, with pivots in A's columns only; the
-    rows over scale are the Gaussian rows [R | g]."""
-    grid, scale = _integer_grid(A.matrix.to_rows())
+    L one scale of A's rows, with pivots in A's columns only; the rows
+    over scale are the Gaussian rows [R | g]."""
+    grid, scale = _stacked_rows(A.matrix)
     grid = [row + [scale * (c == r) for c in range(A.l)] for r, row in enumerate(grid)]
     rows, pivots, div = _bareiss(grid, A.n)
     q = lcm(*div)
@@ -120,8 +126,8 @@ def echelon_sl(A: LeftMatrix) -> Tuple[GroupElementL, LeftMatrix]:
     """
     rows, scale, _ = _echelon_rows(A)
     l, n = A.l, A.n
-    return (GroupElementL(RMatrix(l, l, [Fraction(e, scale) for row in rows for e in row[n:]])),
-            LeftMatrix(RMatrix(l, n, [Fraction(e, scale) for row in rows for e in row[:n]])))
+    return (GroupElementL(RMatrix.from_integer_rows([row[n:] for row in rows], l, [scale] * l)),
+            LeftMatrix(RMatrix.from_integer_rows([row[:n] for row in rows], n, [scale] * l)))
 
 
 def reduced_form_single(A: RMatrix) -> Tuple[int, Optional[Fraction]]:
@@ -165,7 +171,7 @@ def witness_curve_left(A: LeftMatrix, A2: LeftMatrix) -> CurveWitness:
     the construction branches on whether either side has a degenerate
     top-row span, with a row swap fixing the normalisation where needed.
     """
-    rows, scale = _integer_grid(A.matrix.to_rows() + A2.matrix.to_rows())
+    rows, scale = _stacked_rows(A.matrix, A2.matrix)
     return _reduced_curve(A, A2, rows[:A.l], rows[A.l:], scale,
                           (A.matrix.rank(), A2.matrix.rank()))
 
@@ -204,7 +210,7 @@ def _relation(*rows) -> Optional[tuple]:
     """The first right-kernel vector of the matrix whose columns are the
     rows, so that the rows weighted by it sum to zero, or None."""
     grid = [list(c) for c in zip(*rows)]
-    kernel = IntegerRowMatrix(grid, len(rows), [1] * len(grid)).nullspace()
+    kernel = RMatrix.from_integer_rows(grid, len(rows), [1] * len(grid)).nullspace()
     return kernel[0] if kernel else None
 
 

@@ -18,12 +18,14 @@ correspondence map sends row-pattern pairs onto column-proportional
 nullcone tuples and column-pattern pairs onto row-proportional ones; the
 identity tests in the certification module pin this down.
 
-Classification of a non-upper pair runs in integers: each upper
-representative's rows (a, b, d) are read off the tuple's integer form
-through an integer direction and the integer rows of its triangularizer,
-so no representative is built as matrices.  The pattern tests join
-vectors of both sides, so both sides are put over one scale per column
-before any proportionality is tested.
+Classification runs in integers.  An upper pair's rows (a, b, d) are
+its integer form's entries; a non-upper pair's upper representatives
+have theirs read off the tuple's integer form through an integer
+direction and the integer rows of its triangularizer, so no
+representative is built as matrices.  The pattern tests join vectors of
+both sides, so both sides are put over one scale per column before any
+proportionality is tested; the stacked ranks of `classify` and `graph`
+and the repacked tuple of `phi` read the same rows.
 """
 
 from __future__ import annotations
@@ -202,19 +204,20 @@ def is_stable_lr(A: MatrixTupleLR) -> StabilityReport:
 
 def nullcone_member_lr(A: MatrixTupleLR) -> bool:
     """True iff all invariants vanish; degree at most two suffices."""
-    return not any(v for _, _, values in islice(generator_blocks(A), 2) for v in values)
+    return not any(v for _, _, nums, _ in islice(generator_blocks(A), 2) for v in nums)
 
 
 def phi(p: UpperPair) -> PhiImage:
-    """Repack an upper pair's diagonals into a single tuple.
+    """Repack an upper pair's diagonals into a single tuple, built from
+    the pair's integer rows.
 
     The pair is non-separated exactly when the repacked tuple lies in
     the nullcone; the upper-right vectors are carried along unchanged.
     """
-    B = MatrixTupleLR(tuple(
-        RMatrix(2, 2, [-a, a2, -d2, d])
-        for a, d, a2, d2 in zip(p.a_vec(), p.d_vec(), p.a2_vec(), p.d2_vec())))
-    return PhiImage(B, p.b_vec(), p.b2_vec())
+    (a, b, d, a2, b2, d2), scales = _upper_pair_rows(p)
+    B = MatrixTupleLR(tuple(RMatrix.from_integer_rows([[-x, x2], [-y2, y]], 2, [s, s])
+                            for x, y, x2, y2, s in zip(a, d, a2, d2, scales)))
+    return PhiImage(B, tuple(map(Fraction, b, scales)), tuple(map(Fraction, b2, scales)))
 
 
 def phi_inverse(img: PhiImage) -> UpperPair:
@@ -275,6 +278,17 @@ def _diagonals(p: UpperPair) -> tuple:
     return p.a_vec(), p.d_vec(), p.a2_vec(), p.d2_vec()
 
 
+def _upper_pair_rows(p: UpperPair) -> tuple:
+    """(rows, scales): the rows (a, b, d, a', b', d') of an upper pair
+    over one scale per column, read off the two integer forms (see
+    _joint_rows); column i is over scales[i] = q_i q'_i."""
+    sides = []
+    for A in (p.first, p.second):
+        ints, scale = A.integer_form
+        sides.append(([x[0] for x in ints], [x[1] for x in ints], [x[3] for x in ints], scale))
+    return _joint_rows(*sides), [q * r for q, r in zip(sides[0][3], sides[1][3])]
+
+
 def in_cr(p: UpperPair) -> bool:
     """Row pattern: (d, a') proportional to (d', a), and non-separated."""
     return not separated_lr(p.first, p.second).separated and CR in _patterns(*_diagonals(p))
@@ -307,9 +321,10 @@ def _require_non_separated(A: MatrixTupleLR, A2: MatrixTupleLR):
 
 
 def graph_rank_upper(p: UpperPair) -> int:
-    """Rank of the six stacked rows of a non-separated upper pair."""
+    """Rank of the six stacked rows of a non-separated upper pair, taken
+    on their integer rows (a positive scale per column keeps the rank)."""
     _require_non_separated(p.first, p.second)
-    return m_matrix(p).rank()
+    return len(_bareiss(_upper_pair_rows(p)[0], p.n)[1])
 
 
 def graph_member_upper(p: UpperPair) -> bool:
@@ -334,9 +349,12 @@ def classify_pair(p: UpperPair) -> FrozenSet[str]:
 
 
 def _flags_of_non_separated(p: UpperPair) -> FrozenSet[str]:
-    """classify_pair for a pair already known to be non-separated."""
-    flags = _patterns(*_diagonals(p))
-    if m_matrix(p).rank() <= 3:
+    """classify_pair for a pair already known to be non-separated, on the
+    integer rows of the pair."""
+    rows = _upper_pair_rows(p)[0]
+    a, _, d, a2, _, d2 = rows
+    flags = _patterns(a, d, a2, d2)
+    if len(_bareiss(rows, p.n)[1]) <= 3:
         flags.add(GAMMA)
     return frozenset(flags)
 

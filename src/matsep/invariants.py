@@ -14,16 +14,17 @@ A_i, A_j, A_k, A_l, X_r for row r of X and w(u, v) = u_0 v_1 - u_1 v_0,
     xi = - w(A_0,C_0) w(B_1,D_1) + w(A_0,C_1) w(B_1,D_0)
          + w(A_1,C_0) w(B_0,D_1) - w(A_1,C_1) w(B_0,D_0).
 
-Every block reads one integer form of the tuple, computed once and kept
-on it: matrix i is ints[i] / q_i, with q_i the lcm of its denominators.
-Each value is then one Fraction over a product of the q's: det(A_i) is
-x0 x3 - x1 x2 over q_i^2, the pairing is the polarized determinant
-x0 y3 + x3 y0 - x1 y2 - x2 y1 over q_i q_j (X = ints[i], Y = ints[j]),
-and since the wedge block [w(A_r, C_s)] depends on the pair (i, k) only,
-all xi are read off one table of C(n,2) integer wedge blocks, over
-q_i q_j q_k q_l.  For l x n matrices under left determinant-one
-multiplication the generators are the maximal minors; the rows are
-scaled to integers once and every minor is an integer determinant over
+Every block reads one integer form of the tuple, computed once from the
+matrices' integer rows and kept on it: matrix i is ints[i] / q_i, with
+q_i the lcm of its row scales.  Each value is one integer numerator over
+a product of the q's, and a Fraction is built only for a value that is
+reported: det(A_i) is x0 x3 - x1 x2 over q_i^2, the pairing is the
+polarized determinant x0 y3 + x3 y0 - x1 y2 - x2 y1 over q_i q_j
+(X = ints[i], Y = ints[j]), and since the wedge block [w(A_r, C_s)]
+depends on the pair (i, k) only, all xi are read off one table of C(n,2)
+integer wedge blocks, over q_i q_j q_k q_l.  For l x n matrices under
+left determinant-one multiplication the generators are the maximal
+minors, each an integer determinant of the matrix's integer rows over
 the product of the row scales.
 
 Generator vectors are reported in a frozen canonical order (determinants,
@@ -39,12 +40,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Sequence, Tuple
 
 from .errors import PreconditionError, ShapeError
 from .matrix import RMatrix, integer_det
-from .rational import integer_form
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,26 @@ class MatrixTupleLR:
         return tuple(m.at(r, c) for m in self.matrices)
 
     def is_upper(self) -> bool:
-        return all(m.at(1, 0) == 0 for m in self.matrices)
+        return not any(m._nums[1][0] for m in self.matrices)
 
     @cached_property
     def integer_form(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
-        """(ints, scale), computed once per tuple: scale[i] is the lcm q_i of
-        matrix i's denominators and ints[i] its row-major entries times q_i."""
-        forms = [integer_form(m.entries) for m in self.matrices]
-        return tuple(tuple(ints) for ints, _ in forms), tuple(q for _, q in forms)
+        """(ints, scale), computed once per tuple from the matrices' integer
+        rows: scale[i] is the lcm q_i of matrix i's two row scales (the lcm
+        of its denominators when its rows are in lowest terms, as parsed
+        and Fraction-built rows are) and ints[i] its row-major entries
+        times q_i."""
+        ints, scale = [], []
+        for m in self.matrices:
+            (x0, x1), (x2, x3) = m._nums
+            s0, s1 = m._scales
+            if s0 != s1:
+                q = lcm(s0, s1)
+                x0, x1, x2, x3 = x0 * (q // s0), x1 * (q // s0), x2 * (q // s1), x3 * (q // s1)
+                s0 = q
+            ints.append((x0, x1, x2, x3))
+            scale.append(s0)
+        return tuple(ints), tuple(scale)
 
 
 @dataclass(frozen=True)
@@ -175,42 +187,46 @@ def xi(A: MatrixTupleLR, i: int, j: int, k: int, l: int) -> Fraction:
                            _wedges(m[j - 1].entries, m[l - 1].entries))
 
 
-def _det_block(A: MatrixTupleLR) -> Tuple[Fraction, ...]:
-    """All det(A_i), each x0 x3 - x1 x2 over q_i^2."""
+def _det_block(A: MatrixTupleLR) -> tuple:
+    """(numerators, denominators) of all det(A_i): x0 x3 - x1 x2 over q_i^2."""
     ints, scale = A.integer_form
-    return tuple(Fraction(x0 * x3 - x1 * x2, q * q)
-                 for (x0, x1, x2, x3), q in zip(ints, scale))
+    return ([x0 * x3 - x1 * x2 for x0, x1, x2, x3 in ints], [q * q for q in scale])
 
 
-def _bracket_block(A: MatrixTupleLR) -> Tuple[Fraction, ...]:
-    """All pairings in canonical order: Tr(X)Tr(Y) - Tr(XY) is the polarized
-    determinant x0 y3 + x3 y0 - x1 y2 - x2 y1, over q_i q_j."""
+def _bracket_block(A: MatrixTupleLR) -> tuple:
+    """(numerators, denominators) of all pairings in canonical order:
+    Tr(X)Tr(Y) - Tr(XY) is the polarized determinant
+    x0 y3 + x3 y0 - x1 y2 - x2 y1, over q_i q_j."""
     ints, scale = A.integer_form
-    return tuple(Fraction(x0 * y3 + x3 * y0 - x1 * y2 - x2 * y1, scale[i] * scale[j])
-                 for (i, (x0, x1, x2, x3)), (j, (y0, y1, y2, y3))
-                 in combinations(enumerate(ints), 2))
+    return ([x0 * y3 + x3 * y0 - x1 * y2 - x2 * y1
+             for (x0, x1, x2, x3), (y0, y1, y2, y3) in combinations(ints, 2)],
+            [p * q for p, q in combinations(scale, 2)])
 
 
-def _xi_block(A: MatrixTupleLR) -> Tuple[Fraction, ...]:
-    """All xi in canonical order, each one Fraction over q_i q_j q_k q_l."""
+def _xi_block(A: MatrixTupleLR) -> tuple:
+    """(numerators, denominators) of all xi in canonical order, each over
+    q_i q_j q_k q_l."""
     ints, scale = A.integer_form
     table = {(a, c): _wedges(ints[a], ints[c]) for a, c in combinations(range(A.n), 2)}
-    return tuple(Fraction(_xi_from_wedges(table[a, c], table[b, d]),
-                          scale[a] * scale[b] * scale[c] * scale[d])
-                 for a, b, c, d in combinations(range(A.n), 4))
+    return ([_xi_from_wedges(table[a, c], table[b, d])
+             for a, b, c, d in combinations(range(A.n), 4)],
+            [p * q * r * s for p, q, r, s in combinations(scale, 4)])
 
 
 def generator_blocks(A: MatrixTupleLR):
-    """Yield (kind, arity, values) for the det, pairing and xi blocks in
-    canonical order, each computed only when it is asked for."""
-    yield "det", 1, _det_block(A)
-    yield "bracket", 2, _bracket_block(A)
-    yield "xi", 4, _xi_block(A)
+    """Yield (kind, arity, numerators, denominators) for the det, pairing
+    and xi blocks in canonical order, each computed only when it is asked
+    for; value i of a block is numerators[i] / denominators[i], the
+    denominators positive."""
+    yield "det", 1, *_det_block(A)
+    yield "bracket", 2, *_bracket_block(A)
+    yield "xi", 4, *_xi_block(A)
 
 
 def generators_lr(A: MatrixTupleLR) -> GeneratorVector:
     """All generating invariants in the frozen canonical order."""
-    return GeneratorVector(A.n, *(values for _, _, values in generator_blocks(A)))
+    return GeneratorVector(A.n, *(tuple(map(Fraction, nums, dens))
+                                  for _, _, nums, dens in generator_blocks(A)))
 
 
 def minors_left(A: LeftMatrix) -> Tuple[Fraction, ...]:

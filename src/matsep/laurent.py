@@ -212,7 +212,9 @@ class LaurentMatrix:
         if not self.has_limit_at_zero():
             raise PreconditionError("limit at t -> 0 does not exist")
         grid = self.grids.get(0, [0] * (self.rows * self.cols))
-        return RMatrix(self.rows, self.cols, [Fraction(x, self.scale) for x in grid])
+        c = self.cols
+        return RMatrix.from_integer_rows([list(grid[r * c:(r + 1) * c]) for r in range(self.rows)],
+                                         c, [self.scale] * self.rows)
 
     def evaluate(self, t) -> RMatrix:
         t = rat(t)

@@ -1,11 +1,20 @@
 """Exact rational matrices with fraction-free elimination.
 
+An `RMatrix` is stored as integer rows: row r is the integer list
+`_nums[r]` over its positive integer scale `_scales[r]`.  Rows given as
+Fractions are cleared once, by `rational.integer_form`; trusted integer
+rows (documents, Jacobians, products) are taken as they are.  The
+Fraction entries are built on first read and cached, and `==` and `hash`
+compare a canonical form (each row divided by the gcd of its integers and
+its scale), also built on first use, so a matrix that is only eliminated
+never pays for either.
+
 One Bareiss-style integer kernel, `_bareiss`, serves rank, determinant,
-`rref` (and through it nullspace and inverse) and `echelon_sl`.  Rows are
-cleared of denominators first, so every intermediate value is an exact
-minor of the scaled matrix and entry growth stays polynomial.  A row swap
-negates the row it moves up, so every transform has determinant one; the
-sign rides in `div` and the catch-up of the pivot row applies it.
+`rref` (and through it nullspace) and `echelon_sl`.  Every intermediate
+value is an exact minor of the scaled matrix, so entry growth stays
+polynomial.  A row swap negates the row it moves up, so every transform
+has determinant one; the sign rides in `div` and the catch-up of the
+pivot row applies it.
 A row whose entry in the pivot column is zero is skipped, not rewritten:
 with p_j the pivot of step j and p_{-1} = 1, a row last brought to step
 k equals its step-s Bareiss row times p_{k-1} / p_{s-1}, so the one
@@ -18,30 +27,41 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import prod
+from math import gcd, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
-from .rational import integer_form, rat
+from .rational import common_scale, integer_form, rat
 
 
 class RMatrix:
-    """Immutable matrix over the rationals, stored row-major."""
+    """Immutable matrix over the rationals, stored as integer rows over
+    positive row scales."""
 
-    __slots__ = ("rows", "cols", "entries", "_ints")
+    __slots__ = ("rows", "cols", "_nums", "_scales", "_ints", "_entries", "_canon")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         ent = tuple(rat(e) for e in entries)
         if len(ent) != rows * cols:
             raise ShapeError(f"expected {rows * cols} entries, got {len(ent)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ent)
+        forms = [integer_form(ent[r * cols:(r + 1) * cols]) for r in range(rows)]
+        _init(self, rows, cols, [ints for ints, _ in forms], [q for _, q in forms])
+        _set_entries(self, ent)
 
     def __setattr__(self, *_):
         raise AttributeError("RMatrix is immutable")
 
     # -- construction ---------------------------------------------------
+
+    @staticmethod
+    def from_integer_rows(rows: list, cols: int, scales: list) -> "RMatrix":
+        """The matrix whose row r is the int list `rows[r]` (of length
+        `cols`) over the int `scales[r]` > 0.  The lists are kept, not
+        copied or reduced; callers must not mutate them afterwards."""
+        m = object.__new__(RMatrix)
+        _init(m, len(rows), cols, rows, scales)
+        return m
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "RMatrix":
@@ -53,13 +73,26 @@ class RMatrix:
 
     @staticmethod
     def identity(n: int) -> "RMatrix":
-        return RMatrix(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+        return RMatrix.from_integer_rows([[int(i == j) for j in range(n)] for i in range(n)],
+                                         n, [1] * n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RMatrix":
-        return RMatrix(rows, cols, [Fraction(0)] * (rows * cols))
+        return RMatrix.from_integer_rows([[0] * cols for _ in range(rows)], cols, [1] * rows)
 
     # -- access ----------------------------------------------------------
+
+    @property
+    def entries(self) -> tuple:
+        """Row-major Fraction entries, built on first read."""
+        try:
+            return self._entries
+        except AttributeError:
+            pass
+        ent = tuple(Fraction(e, s) if s != 1 else Fraction(e)
+                    for row, s in zip(self._nums, self._scales) for e in row)
+        _set_entries(self, ent)
+        return ent
 
     def at(self, r: int, c: int) -> Fraction:
         return self.entries[r * self.cols + c]
@@ -71,7 +104,7 @@ class RMatrix:
         return [list(self.row(r)) for r in range(self.rows)]
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(map(any, self._nums))
 
     # -- algebra ----------------------------------------------------------
 
@@ -86,42 +119,33 @@ class RMatrix:
                        [a - b for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "RMatrix":
-        return RMatrix(self.rows, self.cols, [-a for a in self.entries])
-
-    def scale(self, s) -> "RMatrix":
-        s = rat(s)
-        return RMatrix(self.rows, self.cols, [s * a for a in self.entries])
+        return RMatrix.from_integer_rows([[-e for e in row] for row in self._nums],
+                                         self.cols, self._scales)
 
     def __matmul__(self, other: "RMatrix") -> "RMatrix":
+        """Integer rows times integer rows: `other` is put over the lcm L of
+        its scales, and row r of the product is over L times scale r."""
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape()} by {other.shape()}")
         if not self.cols:
             return RMatrix.zeros(self.rows, other.cols)
-        product = grid_product(self.to_rows(), other.to_rows())
-        return RMatrix(self.rows, other.cols, [e for row in product for e in row])
+        grid, common = common_scale(other._nums, other._scales)
+        return RMatrix.from_integer_rows(grid_product(self._nums, grid), other.cols,
+                                         [s * common for s in self._scales])
 
     def mul_vec(self, vec: Sequence) -> tuple:
+        """The product with a column vector, as a tuple of Fractions."""
         if len(vec) != self.cols:
             raise ShapeError("vector length mismatch")
-        return (self @ RMatrix(self.cols, 1, vec)).entries
-
-    def transpose(self) -> "RMatrix":
-        return RMatrix(self.cols, self.rows,
-                       [self.at(r, c) for c in range(self.cols) for r in range(self.rows)])
-
-    def hstack(self, other: "RMatrix") -> "RMatrix":
-        if self.rows != other.rows:
-            raise ShapeError("row count mismatch in hstack")
-        out = []
-        for r in range(self.rows):
-            out.extend(self.row(r))
-            out.extend(other.row(r))
-        return RMatrix(self.rows, self.cols + other.cols, out)
+        ints, q = integer_form([rat(v) for v in vec])
+        return tuple(Fraction(sum(map(mul, row, ints)), s * q)
+                     for row, s in zip(self._nums, self._scales))
 
     def vstack(self, other: "RMatrix") -> "RMatrix":
         if self.cols != other.cols:
             raise ShapeError("column count mismatch in vstack")
-        return RMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return RMatrix.from_integer_rows(self._nums + other._nums, self.cols,
+                                         self._scales + other._scales)
 
     def shape(self) -> tuple:
         return (self.rows, self.cols)
@@ -129,33 +153,31 @@ class RMatrix:
     # -- elimination -------------------------------------------------------
 
     def _integer_rows(self) -> tuple:
-        """Scale each row to integers; returns (rows, product of scales).
-        Computed once per matrix; callers must not mutate the rows."""
+        """(integer rows, product of the row scales), the pair built once;
+        callers must not mutate the rows."""
         try:
             return self._ints
         except AttributeError:
             pass
-        forms = [integer_form(self.row(r)) for r in range(self.rows)]
-        rows, scale = [ints for ints, _ in forms], prod(q for _, q in forms)
-        object.__setattr__(self, "_ints", (rows, scale))
-        return rows, scale
+        ints = (self._nums, prod(self._scales))
+        _set_ints(self, ints)
+        return ints
 
     def rank(self) -> int:
         """Exact rank via fraction-free (Bareiss) elimination."""
-        return len(_bareiss(self._integer_rows()[0], self.cols)[1])
+        return len(_bareiss(self._nums, self.cols)[1])
 
     def det(self) -> Fraction:
         """Exact determinant by the Bareiss kernel, at every size."""
         if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
-        rows, scale = self._integer_rows()
-        return Fraction(integer_det(rows), scale)
+        return Fraction(integer_det(self._nums), prod(self._scales))
 
     def rref(self) -> tuple:
         """Reduced row echelon form; returns (rows, pivot column list).
         Each pivot row of the upward kernel is a multiple of its reduced
         row, so dividing by its pivot entry reduces it."""
-        rows, pivots, _ = _bareiss(self._integer_rows()[0], self.cols, upward=True)
+        rows, pivots, _ = _bareiss(self._nums, self.cols, upward=True)
         reduced = [[Fraction(e, row[c]) for e in row] for row, c in zip(rows, pivots)]
         return reduced + [[Fraction(0)] * self.cols for _ in rows[len(pivots):]], pivots
 
@@ -172,25 +194,29 @@ class RMatrix:
             basis.append(tuple(v))
         return basis
 
-    def inverse(self) -> "RMatrix":
-        if self.rows != self.cols:
-            raise ShapeError("inverse of a non-square matrix")
-        n = self.rows
-        aug = RMatrix(n, 2 * n, [self.at(r, c) if c < n else Fraction(int(c - n == r))
-                                 for r in range(n) for c in range(2 * n)])
-        m, pivots = aug.rref()
-        if pivots != list(range(n)):
-            raise ShapeError("matrix is singular")
-        return RMatrix(n, n, [m[r][c] for r in range(n) for c in range(n, 2 * n)])
-
     # -- comparison ---------------------------------------------------------
+
+    def _canonical(self) -> tuple:
+        """Each row as (integers, scale) divided by their gcd: equal
+        matrices of one shape have equal forms.  Built once."""
+        try:
+            return self._canon
+        except AttributeError:
+            pass
+        canon = []
+        for row, s in zip(self._nums, self._scales):
+            g = gcd(*row, s)
+            canon.append((tuple(row), s) if g == 1 else (tuple(e // g for e in row), s // g))
+        canon = tuple(canon)
+        _set_canon(self, canon)
+        return canon
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self._canonical() == other._canonical())
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self._canonical()))
 
     def __repr__(self):
         return f"RMatrix({self.to_rows()!r})"
@@ -200,24 +226,20 @@ class RMatrix:
             raise ShapeError(f"shape mismatch: {self.shape()} vs {other.shape()}")
 
 
-class IntegerRowMatrix(RMatrix):
-    """A matrix given by its integer form: row r is `rows[r]` over the
-    integer `scales[r]` > 0.  Rank and det start from these rows, and the
-    Fraction entries are built on first read."""
+_set_rows = RMatrix.rows.__set__
+_set_cols = RMatrix.cols.__set__
+_set_nums = RMatrix._nums.__set__
+_set_scales = RMatrix._scales.__set__
+_set_entries = RMatrix._entries.__set__
+_set_ints = RMatrix._ints.__set__
+_set_canon = RMatrix._canon.__set__
 
-    __slots__ = ("_scales", "_entries")
 
-    def __init__(self, rows: list, cols: int, scales: list):
-        for name, value in (("rows", len(rows)), ("cols", cols), ("_scales", scales),
-                            ("_ints", (rows, prod(scales))), ("_entries", None)):
-            object.__setattr__(self, name, value)
-
-    @property
-    def entries(self) -> tuple:
-        if self._entries is None:
-            object.__setattr__(self, "_entries", tuple(
-                Fraction(e, s) for row, s in zip(self._ints[0], self._scales) for e in row))
-        return self._entries
+def _init(m: RMatrix, rows: int, cols: int, nums: list, scales: list) -> None:
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_nums(m, nums)
+    _set_scales(m, scales)
 
 
 def _bareiss(rows: list, pivot_cols: int, upward: bool = False) -> tuple:
@@ -235,8 +257,8 @@ def _bareiss(rows: list, pivot_cols: int, upward: bool = False) -> tuple:
     the sign, and the step then overwrites the negated `div`.  With
     `upward` the rows above each pivot are cleared too (fraction-free
     Gauss-Jordan), every pivot row counts as brought to its own step,
-    and each pivot row ends as a multiple of its reduced row.  A square grid of full rank ends with its determinant as the
-    last pivot.
+    and each pivot row ends as a multiple of its reduced row.  A square
+    grid of full rank ends with its determinant as the last pivot.
     """
     m = [row[:] for row in rows]
     nr = len(m)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
+from operator import floordiv, mul
 
 Rational = Fraction
 
@@ -31,19 +33,61 @@ def rat(x) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q', q nonzero; decimal and float notation is rejected."""
-    m = _RATIONAL_RE.match(text.strip())
-    if m is None:
-        raise ValueError(f"not an exact rational literal: {text!r}")
-    num, den = m.groups()
-    return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+    (p,), (q,) = literal_parts([text])
+    return Fraction(p, q)
+
+
+def literal_parts(texts: list) -> tuple:
+    """(numerators, denominators) in lowest terms, denominators positive,
+    of a list of 'p' or 'p/q' literals: ASCII digits, an optional sign on
+    p, q nonzero, surrounding whitespace stripped.  Raises ValueError
+    naming the first string that is not such a literal (or whose digits
+    int() refuses)."""
+    matches = [_RATIONAL_RE.match(t.strip()) for t in texts]
+    if None in matches:
+        raise ValueError(f"not an exact rational literal: {texts[matches.index(None)]!r}")
+    nums, dens = [], []
+    for num, den in [m.groups() for m in matches]:
+        if den is None:
+            nums.append(int(num))
+            dens.append(1)
+        else:
+            p, q = int(num), int(den)
+            g = gcd(p, q)
+            nums.append(p // g)
+            dens.append(q // g)
+    return nums, dens
 
 
 def integer_form(values) -> tuple:
     """(ints, scale) of a sequence of Fractions or ints: scale is the lcm
     of their denominators and value i is ints[i] / scale, ints a list.
-    The one place where denominators are cleared."""
+    With `ratio_rows` and `common_scale`, the one place where
+    denominators are cleared."""
     scale = lcm(*[v.denominator for v in values])
     return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def ratio_rows(nums: list, dens: list, count: int, width: int) -> tuple:
+    """(rows, scales) of the values nums[i] / dens[i], dens[i] > 0, cut
+    into `count` rows of `width`: row r is the int list rows[r] over
+    scales[r], the lcm of its denominators (integer_form row by row)."""
+    if not width:
+        return [[] for _ in range(count)], [1] * count
+    if max(dens, default=1) == 1:
+        scales, ints = [1] * count, nums
+    else:
+        scales = list(map(lcm, *[dens[k::width] for k in range(width)]))
+        per_entry = chain.from_iterable(zip(*[scales] * width))
+        ints = list(map(mul, nums, map(floordiv, per_entry, dens)))
+    return list(map(list, zip(*[iter(ints)] * width))), scales
+
+
+def common_scale(rows: list, scales: list) -> tuple:
+    """Integer rows, row r over scales[r] > 0, put over one scale: (rows,
+    scale), scale the lcm of the scales."""
+    scale = lcm(*scales)
+    return [[e * (scale // s) for e in row] for row, s in zip(rows, scales)], scale
 
 
 def format_rational(x: Fraction) -> str:

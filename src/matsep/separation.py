@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
+from operator import mul
 from typing import Optional, Tuple
 
 from .errors import PreconditionError, ShapeError
@@ -94,13 +95,18 @@ def star(h: RMatrix, A: MatrixTupleLR) -> MatrixTupleLR:
 
 def separated_lr(A: MatrixTupleLR, A2: MatrixTupleLR) -> SeparationReport:
     """Decide separation by the generator blocks in canonical order: the
-    first block that differs decides, and later blocks are never computed."""
+    first block that differs decides, and later blocks are never computed.
+    Values x / p and y / q are compared as x q and y p, and Fractions are
+    built only for the witness."""
     if A.n != A2.n:
         raise ShapeError("tuples must have the same length")
-    for (kind, arity, xs), (_, _, ys) in zip(generator_blocks(A), generator_blocks(A2)):
-        for label, x, y in zip(combinations(range(1, A.n + 1), arity), xs, ys):
-            if x != y:
-                return SeparationReport(True, (kind, label), (x, y))
+    for (kind, arity, xs, ps), (_, _, ys, qs) in zip(generator_blocks(A), generator_blocks(A2)):
+        left, right = list(map(mul, xs, qs)), list(map(mul, ys, ps))
+        if left != right:
+            i = next(i for i, (u, v) in enumerate(zip(left, right)) if u != v)
+            label = next(islice(combinations(range(1, A.n + 1), arity), i, None))
+            return SeparationReport(True, (kind, label),
+                                    (Fraction(xs[i], ps[i]), Fraction(ys[i], qs[i])))
     return SeparationReport(False)
 
 

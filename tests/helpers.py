@@ -6,7 +6,8 @@ and quadrilinear invariants are recomputed through symbolic expansion
 common roots through resultants, rational roots through the rational
 root theorem, the det and pairing blocks, nullcone membership, the
 direction gcd and the maximal minors through Fraction loops over the
-single-value functions, derivatives through symbolic differentiation,
+single-value functions, derivatives through symbolic differentiation, document entries through
+one regex-checked Fraction per entry,
 Jacobians through dense and through sparse Fraction dual numbers,
 ranks and determinants through eager Bareiss elimination, reduced and
 determinant-one echelon forms through Fraction elimination loops, Laurent
@@ -17,14 +18,15 @@ certificates through every trial of the budget, so agreement is
 evidence rather than tautology.
 """
 
+import re
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd
 from random import Random
 
-from matsep import (BinaryForm, LaurentPoly, LeftMatrix, MatrixTupleLR, PreconditionError,
-                    RMatrix, ShapeError, SparsePoly, GroupElementL, GroupElementLR,
-                    binary_form_gcd, bracket, det_inv, poly_expand_det, rat)
+from matsep import (BinaryForm, InputError, LaurentPoly, LeftMatrix, MatrixTupleLR,
+                    PreconditionError, RMatrix, ShapeError, SparsePoly, GroupElementL,
+                    GroupElementLR, binary_form_gcd, bracket, det_inv, poly_expand_det, rat)
 from matsep.certify import (CERTIFIED, FAILED, LOWER_BOUND_ONLY, CertificationError,
                             DimensionCertificate, _sample_point, jacobian)
 from matsep.laurent import _collect, _products
@@ -101,6 +103,36 @@ def rand_left_nullcone(rng: Random, l: int, n: int) -> LeftMatrix:
     return LeftMatrix(RMatrix.from_rows(rows + [last]))
 
 
+# -- matrix shapes by Fraction entries ------------------------------------------
+
+
+def scaled(m: RMatrix, s) -> RMatrix:
+    """s times m, one Fraction product per entry."""
+    return RMatrix(m.rows, m.cols, [rat(s) * e for e in m.entries])
+
+
+def hstack(a: RMatrix, b: RMatrix) -> RMatrix:
+    """[a | b], row by row."""
+    assert a.rows == b.rows
+    return RMatrix.from_rows([list(a.row(r)) + list(b.row(r)) for r in range(a.rows)])
+
+
+def transpose(m: RMatrix) -> RMatrix:
+    return RMatrix(m.cols, m.rows, [m.at(r, c) for c in range(m.cols) for r in range(m.rows)])
+
+
+def inverse(m: RMatrix) -> RMatrix:
+    """The inverse, read off the rref of [m | I]; ShapeError if m is
+    singular or not square."""
+    n = m.rows
+    if m.cols != n:
+        raise ShapeError("inverse of a non-square matrix")
+    reduced, pivots = hstack(m, RMatrix.identity(n)).rref()
+    if pivots != list(range(n)):
+        raise ShapeError("matrix is singular")
+    return RMatrix(n, n, [e for row in reduced for e in row[n:]])
+
+
 # -- nullcone samples for the 2x2 family --------------------------------------
 
 
@@ -171,8 +203,8 @@ def xi_oracle(A: MatrixTupleLR, i: int, j: int, k: int, l: int) -> Fraction:
 
 def _doubled_block(A: MatrixTupleLR, idx, weights) -> RMatrix:
     """4x4 matrix [[w0*A_i, w1*A_j], [w2*A_k, w3*A_l]] (0-based idx)."""
-    mats = [A.matrices[m].scale(w) for m, w in zip(idx, weights)]
-    return mats[0].hstack(mats[1]).vstack(mats[2].hstack(mats[3]))
+    mats = [scaled(A.matrices[m], w) for m, w in zip(idx, weights)]
+    return hstack(mats[0], mats[1]).vstack(hstack(mats[2], mats[3]))
 
 
 def xi_inclusion_exclusion(A: MatrixTupleLR, i: int, j: int, k: int, l: int) -> Fraction:
@@ -420,6 +452,61 @@ def certify_all_trials(param, claimed: int, trials: int = 5, seed: int = 0):
             best, witness = rank, tuple(map(Fraction, point))
     verdict = CERTIFIED if best == claimed else LOWER_BOUND_ONLY if best > 0 else FAILED
     return DimensionCertificate(param.name, claimed, best, trials, witness, verdict)
+
+
+# -- document entries one Fraction at a time ------------------------------------
+
+_LITERAL = re.compile(r"^([+-]?\d+)(?:/(0*[1-9]\d*))?$", re.ASCII)
+
+
+def entry_by_fraction(value) -> Fraction:
+    """A document entry as one Fraction: an int (not a bool), or a 'p' or
+    'p/q' string with ASCII digits and q nonzero, padding stripped; any
+    other value raises the InputError the CLI reports with exit 2."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        m = _LITERAL.match(value.strip())
+        if m is None:
+            raise InputError(f"not an exact rational literal: {value!r}")
+        try:
+            num, den = int(m.group(1)), int(m.group(2) or 1)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+        return Fraction(num, den)
+    raise InputError(f"entries must be integers or 'p/q' strings, got {value!r}")
+
+
+def grid_by_fractions(rows) -> list:
+    """A document's rows of entries as rows of Fractions, in reading order."""
+    return [[entry_by_fraction(e) for e in row] for row in rows]
+
+
+def left_rows_by_fractions(data, l: int, n: int) -> list:
+    """The rows of a left-matrix operand, each row's shape checked just
+    before its entries are read."""
+    if not isinstance(data, list) or len(data) != l:
+        raise InputError(f"expected {l} rows")
+    rows = []
+    for row in data:
+        if not isinstance(row, list) or len(row) != n:
+            raise InputError(f"expected rows of length {n}")
+        rows.append([entry_by_fraction(e) for e in row])
+    return rows
+
+
+def matrices2_by_fractions(data, n: int) -> list:
+    """The 2x2 grids of an lr operand, each grid's shape checked just
+    before its entries are read."""
+    if not isinstance(data, list) or len(data) != n:
+        raise InputError(f"expected {n} matrices")
+    grids = []
+    for m in data:
+        if (not isinstance(m, list) or len(m) != 2
+                or any(not isinstance(r, list) or len(r) != 2 for r in m)):
+            raise InputError("a 2x2 matrix must be a list of two rows of two entries")
+        grids.append(grid_by_fractions(m))
+    return grids
 
 
 # -- Fraction loops behind the integer-form blocks -----------------------------

@@ -8,8 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from matsep import InputError, builtin_claims, parse_rational
-from matsep.cli import _COMMANDS, document_to_json, load_document, main
+from matsep import InputError, RMatrix, builtin_claims, parse_rational
+from matsep import cli
+from matsep.cli import (_COMMANDS, _parse_left, _parse_tuple, document_to_json,
+                        load_document, main)
+from helpers import left_rows_by_fractions, matrices2_by_fractions
 
 
 def run_cli(argv):
@@ -627,3 +630,102 @@ def test_parsers_die_young():
     for n in range(4, 44):
         assert run_cli(["counts", "--n", str(n)])[0] == 0
     assert old_parsers() == 0
+
+
+# Entries the document grammar must treat exactly as the Fraction loader
+# does: literals with signs, leading zeros, padding (Unicode whitespace
+# too) and reducible or large parts; literal-shaped strings that are not
+# literals (non-ASCII digits and whitespace, a stray dot, exponent or
+# sign, a zero denominator); arbitrary short text; and the JSON scalars
+# that are not entries.
+_LITERALS = st.builds(
+    lambda pad, sign, zeros, num, den, end: f"{pad}{sign}{zeros}{num}{den}{end}",
+    st.sampled_from(["", "", " ", "\t", "　", "\xa0"]), st.sampled_from(["", "", "+", "-"]),
+    st.sampled_from(["", "", "0", "000"]), st.integers(0, 10**30),
+    st.one_of(st.just(""), st.integers(1, 10**6).map(lambda q: f"/{q}"),
+              st.sampled_from(["/0004", "/6", "/35", "/1"])),
+    st.sampled_from(["", "", " ", "\n"]))
+
+_LITERAL_PARTS = st.tuples(
+    st.sampled_from(["", " ", "\t", "\n", "　", "\xa0"]),
+    st.sampled_from(["", "+", "-", "--", "+-"]),
+    st.text(alphabet="0123456789", min_size=0, max_size=25),
+    st.sampled_from(["", "/", "/0", "/00", "/-", "/+", ".", "e", "/ "]),
+    st.text(alphabet="0123456789", min_size=0, max_size=25),
+    st.sampled_from(["", " ", "\r\n", "x", "３", "٢"]))
+
+_VALID_ENTRIES = st.one_of(_LITERALS, st.integers(min_value=-2**80, max_value=2**80))
+
+_ENTRIES = st.one_of(
+    _VALID_ENTRIES,
+    st.integers(min_value=-9, max_value=9),
+    st.builds("".join, _LITERAL_PARTS),
+    st.text(alphabet="0123456789/+- .e３٣\t", max_size=8),
+    st.sampled_from([True, False, None, 1.5, -0.0, 1e400, [], {}]))
+
+
+def _agrees_with_fraction_loader(parse, oracle):
+    """parse() gives the matrices whose rows oracle() gives, or raises the
+    InputError oracle() raises, message for message."""
+    try:
+        want = oracle()
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            parse()
+        assert str(got.value) == str(exc)
+        return
+    got = parse()
+    assert len(got) == len(want)
+    for matrix, grid in zip(got, want):
+        assert matrix.entries == tuple(e for row in grid for e in row)
+        assert all(type(e) is Fraction for e in matrix.entries)
+        oracle_matrix = RMatrix.from_rows(grid)
+        assert matrix == oracle_matrix and hash(matrix) == hash(oracle_matrix)
+
+
+def _misshapen(data, rows):
+    """rows with one row or grid replaced by a wrong shape, or unchanged;
+    rows as they are when there is nothing to draw from."""
+    k = len(rows) if data is None else data.draw(st.integers(0, len(rows)))
+    if k == len(rows):
+        return rows
+    bad = data.draw(st.sampled_from(["x", None, [], rows[k][:1], rows[k] + [0]]))
+    return rows[:k] + [bad] + rows[k + 1:]
+
+
+@settings(max_examples=400)
+@given(st.lists(_VALID_ENTRIES, min_size=8, max_size=8)
+       | st.lists(_ENTRIES, min_size=8, max_size=8), st.data())
+@example(["1" * 4400, 0, 0, 0, 0, 0, 0, 0], None)
+@example(["1/" + "2" * 4400, 0, 0, 0, 0, 0, 0, 0], None)
+@example([" 5 ", "-0012/0008", "0/7", "+3", 2**70, str(2**70), "6/4", "-0"], None)
+def test_document_parsers_agree_with_the_fraction_loader(entries, data):
+    """The lr and left document parsers read every entry to the value the
+    Fraction loader gives, and reject what it rejects with its message,
+    the first fault in reading order, misshapen rows and grids included."""
+    grids = _misshapen(data, [[entries[:2], entries[2:4]], [entries[4:6], entries[6:]]])
+    _agrees_with_fraction_loader(lambda: _parse_tuple(grids, 2).matrices,
+                                 lambda: matrices2_by_fractions(grids, 2))
+    for l, n in ((2, 4), (4, 2)):
+        rows = _misshapen(data, [entries[r * n:(r + 1) * n] for r in range(l)])
+        _agrees_with_fraction_loader(lambda: [_parse_left(rows, l, n).matrix],
+                                     lambda: [left_rows_by_fractions(rows, l, n)])
+
+
+@pytest.mark.parametrize("doc,count", [
+    ({"kind": "lr-tuple", "n": 4, "matrices": [[[1, 2], [3, 4]]] * 4}, 4 + 6 + 1),
+    ({"kind": "left-matrix", "l": 2, "n": 5, "rows": [[1, 2, 3, 4, 5], [0, 1, 0, 1, 7]]}, 10)])
+def test_invariants_refuses_a_report_over_the_limit(tmp_path, monkeypatch, doc, count):
+    """A report of exactly MAX_REPORT_VALUES values is written; one more
+    value is refused with exit 3 before any value is computed."""
+    path = write(tmp_path, "doc.json", doc)
+    monkeypatch.setattr(cli, "MAX_REPORT_VALUES", count)
+    code, out, _ = run_cli(["invariants", path])
+    assert code == 0 and json.loads(out)["result"]["count"] == count
+    monkeypatch.setattr(cli, "MAX_REPORT_VALUES", count - 1)
+    monkeypatch.setattr(cli, "generators_lr", None)
+    monkeypatch.setattr(cli, "minors_left", None)
+    code, out, err = run_cli(["invariants", path])
+    assert (code, out) == (3, "")
+    assert err.endswith(f"{count} {'maximal minors' if 'rows' in doc else 'generating invariants'}"
+                        f", more than the limit of {count - 1} reported values\n")

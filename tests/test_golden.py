@@ -26,11 +26,19 @@ written minus its first output (`certify` for gamma at n = 8 and
 gamma-left at (l, n) = (4, 8)), and before classification read its
 upper representatives off the integer forms (`classify` on a conjugated
 double-pattern pair whose first side admits every direction, so it takes
-the three fallback directions), so ranks,
+the three fallback directions), and before documents were read straight
+into integer rows (`separate`, `phi`, `graph` and `curve` on lr- and
+left-pairs whose entries take every branch of the entry grammar: signs,
+leading zeros, "0/7", padding stripped, reducible "p/q" and 2**70 as a
+JSON integer and as a string; and the exit-2 message for "1/0", a
+full-width digit, "1.5" and `true`), so ranks,
 minors, witness points, directions and verdicts are pinned, not
 re-derived.  Document commands run from tests/golden/,
 so the report echoes each document's bare file name.  A refusal's
-golden file is its one stderr line, with exit code 3 and no report.
+golden file is its one stderr line, with exit code 3 and no report (a
+certify Jacobian, or an `invariants` report of more values than the
+limit, C(40, 12) minors or the 20,881 generators at n = 28); an input
+error's is its one stderr line, with exit code 2.
 """
 
 import io
@@ -112,11 +120,28 @@ DOCUMENT_CASES = [
     ("curve_left_l3_generic_n5.txt", ["curve", "curve_left_l3_generic_n5.json"]),
     ("curve_left_l3_generic_n5_text.txt",
      ["curve", "curve_left_l3_generic_n5.json", "--format", "text"]),
+    ("separate_grammar_lr_pair_n3.txt", ["separate", "grammar_lr_pair_n3.json"]),
+    ("phi_grammar_lr_pair_n3.txt", ["phi", "grammar_lr_pair_n3.json"]),
+    ("separate_grammar_left_pair_l2_n4.txt", ["separate", "grammar_left_pair_l2_n4.json"]),
+    ("graph_grammar_left_nullcone_l2_n4.txt", ["graph", "grammar_left_nullcone_l2_n4.json"]),
+    ("curve_grammar_left_nullcone_l2_n4.txt", ["curve", "grammar_left_nullcone_l2_n4.json"]),
+]
+
+INPUT_ERROR_CASES = [
+    ("separate_grammar_reject_one_over_zero_n2.txt",
+     ["separate", "grammar_reject_one_over_zero_n2.json"]),
+    ("separate_grammar_reject_fullwidth_l2_n3.txt",
+     ["separate", "grammar_reject_fullwidth_l2_n3.json"]),
+    ("separate_grammar_reject_decimal_n2.txt",
+     ["separate", "grammar_reject_decimal_n2.json"]),
+    ("graph_grammar_reject_true_l2_n3.txt", ["graph", "grammar_reject_true_l2_n3.json"]),
 ]
 
 REFUSAL_CASES = [
     ("certify_n100000_gamma_trials1_refusal.txt",
      ["certify", "--n", "100000", "--claims", "gamma", "--trials", "1"]),
+    ("invariants_left_l12_n40_refusal.txt", ["invariants", "left_wide_l12_n40.json"]),
+    ("invariants_lr_n28_refusal.txt", ["invariants", "lr_tuple_n28.json"]),
 ]
 
 
@@ -140,7 +165,8 @@ def test_document_report_matches_golden(name, argv, monkeypatch):
 
 
 @pytest.mark.parametrize("name,argv", REFUSAL_CASES, ids=[c[0] for c in REFUSAL_CASES])
-def test_refusal_matches_golden_at_once(name, argv):
+def test_refusal_matches_golden_at_once(name, argv, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with redirect_stdout(out), redirect_stderr(err):
@@ -150,10 +176,21 @@ def test_refusal_matches_golden_at_once(name, argv):
     assert err.getvalue().encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name,argv", INPUT_ERROR_CASES, ids=[c[0] for c in INPUT_ERROR_CASES])
+def test_input_error_matches_golden(name, argv, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
 def test_every_golden_report_is_referenced_and_present():
-    referenced = {name for name, _ in CASES + DOCUMENT_CASES + REFUSAL_CASES}
+    referenced = {name for name, _ in
+                  CASES + DOCUMENT_CASES + REFUSAL_CASES + INPUT_ERROR_CASES}
     on_disk = {p.name for p in GOLDEN.glob("*.txt")}
     assert not on_disk - referenced, "golden reports no case checks"
     assert not referenced - on_disk, "cases whose golden report is missing"
-    for _, argv in DOCUMENT_CASES:
+    for _, argv in DOCUMENT_CASES + INPUT_ERROR_CASES + REFUSAL_CASES[1:]:
         assert (GOLDEN / argv[1]).is_file(), argv

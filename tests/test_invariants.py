@@ -9,8 +9,8 @@ from matsep import (MatrixTupleLR, LeftMatrix, PreconditionError, RMatrix,
                     bracket, det_inv, generator_count_lr, generators_lr,
                     invariant_dim_left, invariant_dim_lr, lower_bound_left,
                     lower_bound_lr, minors_left, xi)
-from helpers import (bracket_oracle, rand_fraction, rand_tuple,
-                     rand_upper_tuple, xi_inclusion_exclusion, xi_oracle)
+from helpers import (bracket_oracle, rand_fraction, rand_tuple, rand_upper_tuple,
+                     scaled, xi_inclusion_exclusion, xi_oracle)
 
 
 def test_det_inv_examples():
@@ -165,7 +165,7 @@ def test_degree_homogeneity_under_scaling():
             continue
         i = rng.randint(1, n)
         mats = list(A.matrices)
-        mats[i - 1] = mats[i - 1].scale(t)
+        mats[i - 1] = scaled(mats[i - 1], t)
         B = MatrixTupleLR(tuple(mats))
         ga, gb = generators_lr(A), generators_lr(B)
         for (label, va), (_, vb) in zip(ga.labeled(), gb.labeled()):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from matsep import LeftMatrix, RMatrix, ShapeError, echelon_sl, stack_rows
 from matsep.matrix import adjugate, cofactor_det, integer_det
-from helpers import (bareiss_det, bareiss_rank, echelon_sl_by_fractions,
-                     integer_rows_by_fraction_products, rand_fraction, rand_matrix,
-                     rand_sl, rref_by_fractions)
+from helpers import (bareiss_det, bareiss_rank, echelon_sl_by_fractions, hstack,
+                     integer_rows_by_fraction_products, inverse, rand_fraction, rand_matrix,
+                     rand_sl, rref_by_fractions, scaled, transpose)
 
 
 def test_rank_examples():
@@ -34,7 +35,7 @@ def test_rank_equals_transpose_rank():
     for _ in range(1000):
         r, c = rng.randint(1, 5), rng.randint(1, 5)
         m = rand_matrix(rng, r, c)
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == transpose(m).rank()
 
 
 def test_det_multiplicative():
@@ -61,7 +62,7 @@ def test_inverse_and_nullspace():
         n = rng.randint(1, 4)
         m = rand_matrix(rng, n, n)
         if m.rank() == n:
-            assert m @ m.inverse() == RMatrix.identity(n)
+            assert m @ inverse(m) == RMatrix.identity(n)
         else:
             basis = m.nullspace()
             assert basis
@@ -82,10 +83,10 @@ def test_adjugate_inverts_determinant_one_matrices():
         for _ in range(40):
             g = rand_sl(rng, l, shears=6)
             assert g.det() == 1
-            assert RMatrix.from_rows(adjugate(g.to_rows())) == g.inverse()
-            scaled = [[int(e * 6) for e in row] for row in g.to_rows()]  # g = scaled / 6
-            assert RMatrix.from_rows(adjugate(scaled)).scale(Fraction(1, 6 ** (l - 1))) \
-                == g.inverse()
+            assert RMatrix.from_rows(adjugate(g.to_rows())) == inverse(g)
+            grid = [[int(e * 6) for e in row] for row in g.to_rows()]  # g = grid / 6
+            assert scaled(RMatrix.from_rows(adjugate(grid)), Fraction(1, 6 ** (l - 1))) \
+                == inverse(g)
 
 
 def test_nullspace_dimension():
@@ -235,7 +236,7 @@ def test_kernel_on_empty_and_thin_shapes():
         assert RMatrix(k, 0, []).rank() == 0
     assert RMatrix(0, 0, []).det() == 1
     assert RMatrix(0, 0, []).rref() == ([], [])
-    assert RMatrix(0, 0, []).inverse() == RMatrix(0, 0, [])
+    assert inverse(RMatrix(0, 0, [])) == RMatrix(0, 0, [])
     for k in range(1, 8):
         for density in (0.0, 0.3, 1.0):
             _assert_kernel_matches_oracles(_sparse_matrix(rng, 1, k, density))
@@ -274,7 +275,7 @@ def test_kernel_catches_up_rows_skipped_on_a_staircase():
             rng.shuffle(rows)
             m = RMatrix(len(rows), cols, [e for row in rows for e in row])
             _assert_kernel_matches_oracles(m, cofactor_up_to=7)
-            _assert_kernel_matches_oracles(m.transpose(), cofactor_up_to=7)
+            _assert_kernel_matches_oracles(transpose(m), cofactor_up_to=7)
 
 
 def test_kernel_with_40_digit_numerators():
@@ -386,14 +387,63 @@ def test_elimination_property_against_fraction_loops(m):
     assert m.nullspace() == kernel
     if m.rows == m.cols:
         n = m.rows
-        aug, aug_pivots = rref_by_fractions(m.hstack(RMatrix.identity(n)))
+        aug, aug_pivots = rref_by_fractions(hstack(m, RMatrix.identity(n)))
         if aug_pivots == list(range(n)):
-            assert m.inverse() == RMatrix(n, n, [e for row in aug for e in row[n:]])
+            assert inverse(m) == RMatrix(n, n, [e for row in aug for e in row[n:]])
         else:
             with pytest.raises(ShapeError):
-                m.inverse()
+                inverse(m)
     if m.rows >= 2:
         g, R = echelon_sl(LeftMatrix(m))
         g_ref, R_ref = echelon_sl_by_fractions(LeftMatrix(m))
         assert g.g.entries == g_ref.g.entries
         assert R.matrix.entries == R_ref.matrix.entries
+
+
+@st.composite
+def _fraction_grids(draw):
+    """A grid of Fractions, 0..4 by 0..4, and for each row a multiplier
+    k >= 1 that puts it over k times its least common denominator."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=30).map(
+        lambda f: f.limit_denominator(30)), st.integers(-10**20, 10**20).map(Fraction))
+    grid = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    return grid, [draw(st.sampled_from((1, 1, 2, 6, 35))) for _ in range(rows)]
+
+
+def _over_scales(grid, cols, multipliers) -> RMatrix:
+    """The grid as integer rows over k times each row's lcm denominator."""
+    rows, scales = [], []
+    for row, k in zip(grid, multipliers):
+        scale = k * lcm(*(e.denominator for e in row))
+        rows.append([int(e * scale) for e in row])
+        scales.append(scale)
+    return RMatrix.from_integer_rows(rows, cols, scales)
+
+
+@settings(max_examples=200)
+@given(_fraction_grids(), _fraction_grids())
+@example(([[Fraction(1), Fraction(2)]], [2]), ([[Fraction(1), Fraction(2)]], [1]))
+def test_rmatrix_reads_back_and_compares_like_its_fraction_tuple(first, second):
+    """Built from Fractions or from integer rows over any row scales, a
+    matrix reads back its entries, and == and hash follow the Fraction
+    tuple: [2, 4]/2 equals [1, 2]/1."""
+    (grid, mult), (grid2, mult2) = first, second
+    cols, cols2 = (len(g[0]) if g else 0 for g in (grid, grid2))
+    oracle = (len(grid), cols, tuple(e for row in grid for e in row))
+    oracle2 = (len(grid2), cols2, tuple(e for row in grid2 for e in row))
+    a = RMatrix(len(grid), cols, oracle[2])
+    b = _over_scales(grid, cols, mult)
+    c = _over_scales(grid2, cols2, mult2)
+    for m in (a, b):
+        assert m.entries == oracle[2] and all(type(e) is Fraction for e in m.entries)
+        assert m.to_rows() == grid
+        assert [m.row(r) for r in range(m.rows)] == [tuple(row) for row in grid]
+    assert c.entries == oracle2[2]
+    assert a == b and hash(a) == hash(b)
+    assert (b == c) == (oracle == oracle2)
+    if oracle == oracle2:
+        assert hash(b) == hash(c)
+    assert (a == -a) == (not any(oracle[2])) == b.is_zero() == a.is_zero()
+    assert (-b).entries == tuple(-e for e in oracle[2])
+    assert b != oracle[2]

@@ -8,8 +8,8 @@ from matsep import (GroupElementLR, LeftMatrix, MatrixTupleLR,
                     PreconditionError, RMatrix, SeparationReport, ShapeError,
                     act_left, act_lr, generators_lr, minors_left,
                     separated_left, separated_lr, star)
-from helpers import (rand_group_left, rand_group_lr, rand_left, rand_matrix,
-                     rand_sl2, rand_tuple)
+from helpers import (inverse, rand_group_left, rand_group_lr, rand_left, rand_matrix,
+                     rand_sl2, rand_tuple, transpose)
 
 
 def test_act_identity_and_group_law():
@@ -42,7 +42,7 @@ def test_star_identity_and_inverse():
     h = rand_matrix(rng, 4, 4)
     while h.rank() < 4:
         h = rand_matrix(rng, 4, 4)
-    assert star(h, star(h.inverse(), A)) == A
+    assert star(h, star(inverse(h), A)) == A
 
 
 def test_star_permutation_permutes_tuple():
@@ -146,7 +146,7 @@ def _separated_eager(A, B):
 
 
 def _transpose(A):
-    return MatrixTupleLR(tuple(m.transpose() for m in A.matrices))
+    return MatrixTupleLR(tuple(transpose(m) for m in A.matrices))
 
 
 def _componentwise_translate(rng, A):
