@@ -143,6 +143,11 @@ def load_document(path: str) -> dict:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from None
+    except ValueError:   # json raises a plain ValueError only for the int digit limit
+        raise InputError(f"a JSON integer has more than {sys.get_int_max_str_digits()} digits, "
+                         "the interpreter's int-to-str digit limit") from None
+    except RecursionError:
+        raise InputError("invalid JSON: nested too deeply to read") from None
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError("document must be an object with a 'kind' field")
     kind = data["kind"]
@@ -206,15 +211,17 @@ def _witness_json(report):
 # `invariants` refuses, before evaluating any value, a report of more
 # values than this: about 3.5 MB of JSON, under 0.5 s for an lr-tuple and
 # about 4 s for a 12-row left matrix (minors cost more as l grows), with
-# Python 3.11 on a shared VM.  Every golden and benchmark input holds at
-# most 70.
+# Python 3.11 on a shared VM.  `separate` refuses a left pair with more
+# maximal minors per side, since it may compare them all.  Every golden
+# and benchmark input holds at most 70.
 MAX_REPORT_VALUES = 20_000
 
 
-def _require_report_size(count: int, holder: str, values: str) -> None:
+def _require_report_size(count: int, holder: str, values: str,
+                         limited: str = "reported values") -> None:
     if count > MAX_REPORT_VALUES:
         raise PreconditionError(f"{holder} has {count} {values}, more than the limit of "
-                                f"{MAX_REPORT_VALUES} reported values")
+                                f"{MAX_REPORT_VALUES} {limited}")
 
 
 def _invariants_lr(tup) -> dict:
@@ -231,6 +238,12 @@ def _invariants_left(A) -> dict:
     minors = [{"columns": list(cols), "value": format_rational(v)}
               for cols, v in zip(minor_column_sets(A.l, A.n), minors_left(A))]
     return {"count": len(minors), "minors": minors}
+
+
+def _separate_left(first, second) -> dict:
+    _require_report_size(comb(first.n, first.l), f"a {first.l} x {first.n} left pair",
+                         "maximal minors per side", "compared values")
+    return _witness_json(separated_left(first, second))
 
 
 def _stability_lr(tup) -> dict:
@@ -401,7 +414,7 @@ _COMMANDS = {
                            {"lr-tuple": _invariants_lr, "left-matrix": _invariants_left}),
     "separate": _Command("decide separation of a pair, with witness",
                          {"lr-pair": lambda a, b: _witness_json(separated_lr(a, b)),
-                          "left-pair": lambda a, b: _witness_json(separated_left(a, b))}),
+                          "left-pair": _separate_left}),
     "stability": _Command("stability test",
                           {"lr-tuple": _stability_lr,
                            "left-matrix": lambda A: {"stable": is_stable_left(A)}}),
@@ -423,7 +436,14 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list) -> argparse.ArgumentParser:
+    """The parser for one command line.  Every subcommand is named, for
+    the root usage, help and choice errors, but only the one argv names
+    gets its arguments: argparse dispatches on the first argv element
+    that is a subcommand name (the root's only option, -h, takes no
+    value), and a subparser's arguments appear only in its own parse,
+    usage, help and errors."""
+    named = next((arg for arg in argv if arg in _COMMANDS), None)
     # Each stock formatter queries the terminal for this width; query it once.
     formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
@@ -436,6 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help, formatter_class=formatter)
+        if name != named:
+            continue
         if isinstance(command.action, dict):
             p.add_argument("file", help="input document (JSON with exact rationals)")
         p.add_argument("--format", choices=("structured", "text"), default="structured")
@@ -445,11 +467,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     # The parser is all reference cycles: with the collector paused it dies young, unpromoted.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     finally:
         if enabled:
             gc.enable()

@@ -10,10 +10,13 @@ any field extension, so results transfer verbatim to the complex numbers.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import floordiv, mul
+
+from .errors import PreconditionError
 
 Rational = Fraction
 
@@ -91,6 +94,12 @@ def common_scale(rows: list, scales: list) -> tuple:
 
 
 def format_rational(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """'p' or 'p/q'.  A part longer than the interpreter's int-to-str
+    digit limit cannot be written: PreconditionError naming the limit."""
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise PreconditionError(f"a value has more than {sys.get_int_max_str_digits()} digits, "
+                                "the interpreter's int-to-str digit limit") from None

@@ -15,11 +15,15 @@ arithmetic through one re-validated polynomial per addition and Laurent
 matrices through Fraction term maps per entry, the
 gcd of binary forms through Euclid on every form, and dimension
 certificates through every trial of the budget, so agreement is
-evidence rather than tautology.
+evidence rather than tautology.  The CLI parser is compared with one
+that declares every subcommand's arguments.
 """
 
+import argparse
 import re
+import shutil
 from fractions import Fraction
+from functools import partial
 from itertools import chain, combinations
 from math import gcd
 from random import Random
@@ -29,6 +33,7 @@ from matsep import (BinaryForm, InputError, LaurentPoly, LeftMatrix, MatrixTuple
                     GroupElementLR, binary_form_gcd, bracket, det_inv, poly_expand_det, rat)
 from matsep.certify import (CERTIFIED, FAILED, LOWER_BOUND_ONLY, CertificationError,
                             DimensionCertificate, _sample_point, jacobian)
+from matsep.cli import _COMMANDS
 from matsep.laurent import _collect, _products
 from matsep.matrix import cofactor_det
 from matsep.geometry_lr import direction_forms
@@ -871,3 +876,25 @@ def binary_form_gcd_by_euclid(forms) -> BinaryForm:
     lead = g[-1]
     coeffs = [c / lead for c in g] + [Fraction(0)] * inf_mult
     return BinaryForm(len(coeffs) - 1, tuple(coeffs))
+
+
+def full_parser() -> argparse.ArgumentParser:
+    """The CLI parser with the arguments of every subcommand declared,
+    whichever the command line names."""
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(
+        prog="matsep", formatter_class=formatter,
+        description="Exact decision procedures for matrix semi-invariants. "
+                    "Row/column labels follow the explicit diagonal "
+                    "proportionality patterns; the upper-pair correspondence "
+                    "maps the row pattern onto column-proportional nullcone "
+                    "tuples and vice versa.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, formatter_class=formatter)
+        if isinstance(command.action, dict):
+            p.add_argument("file", help="input document (JSON with exact rationals)")
+        p.add_argument("--format", choices=("structured", "text"), default="structured")
+        for flag, keywords in command.options:
+            p.add_argument(flag, **keywords)
+    return parser

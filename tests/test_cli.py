@@ -1,9 +1,11 @@
 import io
 import json
 import os
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -425,9 +427,13 @@ def test_curve_exits_with_a_verified_curve_or_one_error_line(doc):
 
 
 def _write_document(tmp, doc) -> str:
+    """The path of `doc` written as JSON, or as it is if it is JSON text."""
     path = os.path.join(tmp, "doc.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        if isinstance(doc, str):
+            fh.write(doc)
+        else:
+            json.dump(doc, fh)
     return path
 
 
@@ -522,15 +528,63 @@ def malformed_documents(draw, kinds):
     return doc
 
 
+@st.composite
+def hostile_documents(draw, kinds):
+    """The JSON text of a document past one of the limits of the CLI: an
+    integer literal longer than the interpreter's int-to-str digit limit,
+    an entry nested deeper than the recursion limit, a tuple or matrix
+    of 2,200- to 2,300-digit entries, whose products pass the digit
+    limit, or a left pair with more maximal minors than
+    MAX_REPORT_VALUES.  The first three are of one of `kinds`, with two
+    rows and up to three columns for a left action and n <= 2 for the
+    two-sided one.  The document comes from one drawn Random."""
+    rng = draw(st.randoms(use_true_random=False))
+    hazard = rng.randrange(4)
+    if hazard == 3:
+        l = rng.randint(3, 12)
+        n = next(n for n in range(l, 100) if comb(n, l) > cli.MAX_REPORT_VALUES)
+        n += rng.randint(0, 3)
+        sides = [[[rng.randint(-9, 9) for _ in range(n)] for _ in range(l)] for _ in "ab"]
+        if rng.random() < 0.5:
+            sides[1] = sides[0]
+        return json.dumps({"kind": "left-pair", "l": l, "n": n,
+                           "first": sides[0], "second": sides[1]})
+    kind = rng.choice(sorted(kinds))
+    l = 2
+    n = rng.randint(1, 2) if kind.startswith("lr-") else rng.randint(2, 3)
+    limit = sys.get_int_max_str_digits()
+
+    def entry():
+        if hazard == 2:
+            return rng.choice("123456789") * rng.randint(2200, 2300) + str(rng.randrange(10**6))
+        return rng.randint(-9, 9)
+
+    shapes = [(2, 2)] * n if kind.startswith("lr-") else [(l, n)]
+    doc = {"kind": kind, "n": n, **({} if kind.startswith("lr-") else {"l": l})}
+    for field in _OPERAND_FIELDS[kind]:
+        mats = [[[entry() for _ in range(c)] for _ in range(r)] for r, c in shapes]
+        doc[field] = mats if kind.startswith("lr-") else mats[0]
+    if hazard == 2:
+        return json.dumps(doc)
+    rows = _leaf_rows(doc)
+    rows[rng.randrange(len(rows))][0] = "HAZARD"
+    if hazard == 0:
+        value = rng.choice("-123456789") + "7" * rng.randint(limit, limit + 1000)
+    else:
+        depth = rng.randint(2000, 100_000)
+        value = "[" * depth + "]" * depth
+    return json.dumps(doc).replace('"HAZARD"', value)
+
+
 @settings(max_examples=300)
 @given(st.sampled_from(_DOCUMENT_COMMANDS), st.sampled_from(["structured", "text"]), st.data())
 def test_document_commands_keep_the_exit_contract(command, fmt, data):
-    """Every document command, on arbitrary and malformed documents of
-    the four kinds, exits under the contract; a document that loads
-    round-trips through `document_to_json` to a fixed point."""
+    """Every document command, on arbitrary, malformed and hostile
+    documents of the four kinds, exits under the contract; a document
+    that loads round-trips through `document_to_json` to a fixed point."""
     kinds = _COMMANDS[command].action
-    doc = data.draw(malformed_documents(kinds) | left_pair_documents() if "left-pair" in kinds
-                    else malformed_documents(kinds))
+    documents = malformed_documents(kinds) | hostile_documents(kinds)
+    doc = data.draw(documents | left_pair_documents() if "left-pair" in kinds else documents)
     with tempfile.TemporaryDirectory() as tmp:
         code, out, err = _run_on_document(tmp, [command, "--format", fmt], doc)
         _assert_exit_contract(code, out, err)

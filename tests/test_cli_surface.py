@@ -6,9 +6,12 @@ argument errors argparse reports, and for every document command run on
 a document of each of the four kinds, recorded at an 80-column terminal
 before the subcommands and their document kinds moved into one command
 table.  Document commands run from tests/golden/, so the report echoes
-each document's bare file name.
+each document's bare file name.  The parser of a call declares only the
+arguments of the subcommand its command line names; on help, usage
+errors and runs it answers as the parser that declares them all.
 """
 
+import argparse
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,7 +19,9 @@ from pathlib import Path
 
 import pytest
 
+from matsep import cli
 from matsep.cli import main
+from helpers import full_parser
 
 GOLDEN = Path(__file__).parent / "golden"
 PINS = json.loads((GOLDEN / "cli_surface.json").read_text(encoding="utf-8"))
@@ -105,3 +110,47 @@ def test_help_follows_the_terminal_width(columns, wraps, monkeypatch):
     usage = run_main(["--help"])["stdout"].split("\n\n")[0]
     assert usage.startswith("usage: matsep [-h]") and "{invariants," in usage
     assert ("\n" in usage) is wraps
+
+
+DOCUMENT = {cmd: DOCUMENTS["left-pair" if cmd in ("curve", "separate") else "lr-pair"]
+            for cmd in DOCUMENT_COMMANDS}
+PARSE_SHAPES = [[], ["-h"], ["--", "counts", "--n", "4"], ["certify", "--claims", "counts"],
+                ["counts", "--n", "4", "--format", "xml"], ["counts", "extra"],
+                ["-h", "counts", "--n"], ["identities", "counts"]]
+PARSE_SHAPES += [[cmd, "-h"] for cmd in SUBCOMMANDS] + [["bogus", cmd] for cmd in SUBCOMMANDS]
+PARSE_SHAPES += [shape for cmd in DOCUMENT_COMMANDS for shape in (
+    [cmd], [cmd, DOCUMENT[cmd]], [cmd, DOCUMENT[cmd], "--format", "xml"],
+    [cmd, DOCUMENT[cmd], "extra"])]
+
+
+@pytest.mark.parametrize("argv", PARSE_SHAPES, ids=" ".join)
+def test_main_answers_as_the_full_parser(argv, monkeypatch):
+    """Help, usage errors and reports: stdout, stderr and exit code are
+    those of a call whose parser declares every subcommand's arguments."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(GOLDEN)
+    got = run_main(argv)
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: full_parser())
+    assert got == run_main(argv)
+
+
+def _subparsers(parser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _arguments(subparser) -> list:
+    return [(a.option_strings, a.dest, a.default, a.choices, a.type, a.required)
+            for a in subparser._actions if not isinstance(a, argparse._HelpAction)]
+
+
+@pytest.mark.parametrize("argv", PARSE_SHAPES, ids=" ".join)
+def test_only_the_named_subparser_declares_arguments(argv):
+    """Beyond -h, exactly the subparser argv names has arguments, and
+    they are the ones the full parser gives it."""
+    named = next((arg for arg in argv if arg in SUBCOMMANDS), None)
+    full = _subparsers(full_parser())
+    got = _subparsers(cli._build_parser(argv))
+    assert list(got) == list(full)
+    for name, subparser in got.items():
+        assert _arguments(subparser) == (_arguments(full[name]) if name == named else [])

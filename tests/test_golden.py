@@ -36,9 +36,13 @@ minors, witness points, directions and verdicts are pinned, not
 re-derived.  Document commands run from tests/golden/,
 so the report echoes each document's bare file name.  A refusal's
 golden file is its one stderr line, with exit code 3 and no report (a
-certify Jacobian, or an `invariants` report of more values than the
-limit, C(40, 12) minors or the 20,881 generators at n = 28); an input
-error's is its one stderr line, with exit code 2.
+certify Jacobian, an `invariants` report of more values than the limit,
+C(40, 12) minors or the 20,881 generators at n = 28, a `separate` of a
+12 x 40 left pair, C(40, 12) minors per side, or an `invariants` value
+of about 4,400 digits, over the interpreter's int-to-str digit limit);
+an input error's is its one stderr line, with exit code 2 (among them a
+5,000-digit JSON integer and a document nested 100,000 brackets deep).
+Refusals and input errors come back within 2 s.
 """
 
 import io
@@ -135,6 +139,10 @@ INPUT_ERROR_CASES = [
     ("separate_grammar_reject_decimal_n2.txt",
      ["separate", "grammar_reject_decimal_n2.json"]),
     ("graph_grammar_reject_true_l2_n3.txt", ["graph", "grammar_reject_true_l2_n3.json"]),
+    ("invariants_lr_tuple_5000_digit_integer_n1.txt",
+     ["invariants", "lr_tuple_5000_digit_integer_n1.json"]),
+    ("invariants_lr_tuple_nested_100000_deep.txt",
+     ["invariants", "lr_tuple_nested_100000_deep.json"]),
 ]
 
 REFUSAL_CASES = [
@@ -142,6 +150,9 @@ REFUSAL_CASES = [
      ["certify", "--n", "100000", "--claims", "gamma", "--trials", "1"]),
     ("invariants_left_l12_n40_refusal.txt", ["invariants", "left_wide_l12_n40.json"]),
     ("invariants_lr_n28_refusal.txt", ["invariants", "lr_tuple_n28.json"]),
+    ("separate_left_pair_wide_l12_n40_refusal.txt", ["separate", "left_pair_wide_l12_n40.json"]),
+    ("invariants_lr_tuple_2200_digit_diagonal_n1_refusal.txt",
+     ["invariants", "lr_tuple_2200_digit_diagonal_n1.json"]),
 ]
 
 
@@ -164,26 +175,26 @@ def test_document_report_matches_golden(name, argv, monkeypatch):
     _assert_matches_golden(name, argv)
 
 
-@pytest.mark.parametrize("name,argv", REFUSAL_CASES, ids=[c[0] for c in REFUSAL_CASES])
-def test_refusal_matches_golden_at_once(name, argv, monkeypatch):
-    monkeypatch.chdir(GOLDEN)
+def _assert_error_matches_golden_at_once(name, argv, want_code):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert time.perf_counter() - start < 2.0
-    assert (code, out.getvalue()) == (3, "")
+    assert (code, out.getvalue()) == (want_code, "")
     assert err.getvalue().encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name,argv", REFUSAL_CASES, ids=[c[0] for c in REFUSAL_CASES])
+def test_refusal_matches_golden_at_once(name, argv, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    _assert_error_matches_golden_at_once(name, argv, 3)
 
 
 @pytest.mark.parametrize("name,argv", INPUT_ERROR_CASES, ids=[c[0] for c in INPUT_ERROR_CASES])
 def test_input_error_matches_golden(name, argv, monkeypatch):
     monkeypatch.chdir(GOLDEN)
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    assert (code, out.getvalue()) == (2, "")
-    assert err.getvalue().encode("utf-8") == (GOLDEN / name).read_bytes()
+    _assert_error_matches_golden_at_once(name, argv, 2)
 
 
 def test_every_golden_report_is_referenced_and_present():
