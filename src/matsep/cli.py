@@ -343,6 +343,31 @@ def _cmd_identities(args) -> tuple:
                               "bracket_identity": verify_bracket_identity()}
 
 
+# `counts` refuses a value of more digits than this, Python's default
+# int-to-str digit limit (sys.int_info.default_max_str_digits), before
+# anything is written.  C(n, l) is refused before `comb` runs when a
+# lower bound already passes the limit: C(10**9, 5 * 10**8) alone did
+# not finish within 10 s.
+MAX_COUNT_DIGITS = 4300
+_COUNT_CEILING = 10 ** MAX_COUNT_DIGITS
+
+
+def _count_too_long(key: str) -> PreconditionError:
+    return PreconditionError(f"the {key} value has more than {MAX_COUNT_DIGITS} digits, "
+                             "the limit of a counts report")
+
+
+def _generator_count_left(n: int, l: int) -> int:
+    """C(n, l) for n >= l >= 0, refused unevaluated when its lower bound
+    (n // k)**k, k = min(l, n - l), has more than MAX_COUNT_DIGITS digits.
+    Under that bound k < 14,285 and C(n, l) < 2**(3.5 * 14,285), so the
+    `comb` that runs is quick."""
+    k = min(l, n - l)
+    if k and k * ((n // k).bit_length() - 1) >= _COUNT_CEILING.bit_length():
+        raise _count_too_long("generators")
+    return comb(n, l)
+
+
 def _cmd_counts(args) -> tuple:
     digest = _args_digest({"n": args.n, "l": args.l})
     if args.n is None:
@@ -357,7 +382,10 @@ def _cmd_counts(args) -> tuple:
         payload = {"l": args.l, "n": args.n,
                    "lower_bound": lower_bound_left(args.l, args.n),
                    "dim": invariant_dim_left(args.l, args.n),
-                   "generators": comb(args.n, args.l)}
+                   "generators": _generator_count_left(args.n, args.l)}
+    for key, value in payload.items():
+        if abs(value) >= _COUNT_CEILING:
+            raise _count_too_long(key)
     return digest, payload
 
 
@@ -382,18 +410,23 @@ def _emit(args, digest: str, payload) -> None:
 
 
 def _emit_text(report) -> None:
+    """Write the report as indented `key: value` lines, in one write, so
+    a failure while formatting it leaves stdout empty."""
+    lines = []
+
     def walk(value, key, indent):
         pad = "  " * indent
         if isinstance(value, dict):
-            sys.stdout.write(f"{pad}{key}:\n")
+            lines.append(f"{pad}{key}:\n")
             for k in sorted(value):
                 walk(value[k], k, indent + 1)
         elif isinstance(value, list):
-            sys.stdout.write(f"{pad}{key}: {json.dumps(value, sort_keys=True)}\n")
+            lines.append(f"{pad}{key}: {json.dumps(value, sort_keys=True)}\n")
         else:
-            sys.stdout.write(f"{pad}{key}: {value}\n")
+            lines.append(f"{pad}{key}: {value}\n")
     for k in sorted(report):
         walk(report[k], k, 0)
+    sys.stdout.write("".join(lines))
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -439,10 +472,11 @@ _COMMANDS = {
 def _build_parser(argv: list) -> argparse.ArgumentParser:
     """The parser for one command line.  Every subcommand is named, for
     the root usage, help and choice errors, but only the one argv names
-    gets its arguments: argparse dispatches on the first argv element
-    that is a subcommand name (the root's only option, -h, takes no
-    value), and a subparser's arguments appear only in its own parse,
-    usage, help and errors."""
+    gets its -h, `file`, --format and options; the others are bare
+    subparsers with no action at all.  argparse dispatches on the first
+    argv element that is a subcommand name (the root's only option, -h,
+    takes no value), and a subparser's arguments, help included, appear
+    only in its own parse, usage, help and errors."""
     named = next((arg for arg in argv if arg in _COMMANDS), None)
     # Each stock formatter queries the terminal for this width; query it once.
     formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
@@ -455,7 +489,8 @@ def _build_parser(argv: list) -> argparse.ArgumentParser:
                     "tuples and vice versa.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help, formatter_class=formatter)
+        p = sub.add_parser(name, help=command.help, formatter_class=formatter,
+                           add_help=name == named)
         if name != named:
             continue
         if isinstance(command.action, dict):

@@ -20,8 +20,10 @@ that declares every subcommand's arguments.
 """
 
 import argparse
+import io
 import re
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations
@@ -33,7 +35,7 @@ from matsep import (BinaryForm, InputError, LaurentPoly, LeftMatrix, MatrixTuple
                     GroupElementLR, binary_form_gcd, bracket, det_inv, poly_expand_det, rat)
 from matsep.certify import (CERTIFIED, FAILED, LOWER_BOUND_ONLY, CertificationError,
                             DimensionCertificate, _sample_point, jacobian)
-from matsep.cli import _COMMANDS
+from matsep.cli import _COMMANDS, main
 from matsep.laurent import _collect, _products
 from matsep.matrix import cofactor_det
 from matsep.geometry_lr import direction_forms
@@ -898,3 +900,15 @@ def full_parser() -> argparse.ArgumentParser:
         for flag, keywords in command.options:
             p.add_argument(flag, **keywords)
     return parser
+
+
+def run_main(argv) -> dict:
+    """Exit code, stdout and stderr of one CLI call; argparse's own exits
+    (help, usage errors) are caught and reported like returns."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}

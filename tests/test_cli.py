@@ -14,7 +14,7 @@ from matsep import InputError, RMatrix, builtin_claims, parse_rational
 from matsep import cli
 from matsep.cli import (_COMMANDS, _parse_left, _parse_tuple, document_to_json,
                         load_document, main)
-from helpers import left_rows_by_fractions, matrices2_by_fractions
+from helpers import left_rows_by_fractions, matrices2_by_fractions, run_main
 
 
 def run_cli(argv):
@@ -218,6 +218,28 @@ def test_counts_command():
     assert result == {"dim": 7, "generators": 10, "l": 3, "lower_bound": 8, "n": 5}
 
 
+class _CountedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_a_text_report_is_one_write_and_a_failed_one_writes_nothing():
+    out = _CountedWrites()
+    with redirect_stdout(out):
+        assert main(["counts", "--n", "6", "--l", "3", "--format", "text"]) == 0
+    assert out.writes == 1 and out.getvalue().count("\n") == 13
+    out = _CountedWrites()
+    # a list past the int-to-str digit limit fails after the lines before it
+    with redirect_stdout(out), pytest.raises(ValueError):
+        cli._emit_text({"a": 1, "b": {"c": [10**5000]}})
+    assert (out.writes, out.getvalue()) == (0, "")
+
+
 def test_identities_command():
     code, out, _ = run_cli(["identities"])
     assert code == 0
@@ -333,6 +355,78 @@ def test_counts_exits_0_or_3_with_one_precondition_line(n, l):
     else:
         assert (code, out) == (3, "")
         assert err.startswith("precondition violated: ") and err.count("\n") == 1
+
+
+def _last_under_ceiling(count) -> int:
+    """The largest m >= 1 whose count(m) has at most MAX_COUNT_DIGITS
+    digits, for a count increasing in m."""
+    ceiling = 10 ** cli.MAX_COUNT_DIGITS
+    lo, hi = 1, 2
+    while count(hi) < ceiling:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if count(mid) < ceiling else (lo, mid)
+    return lo
+
+
+# m -> (counts argv, its generator count): the two-sided count, C(n, 2),
+# and the central C(2k, k), the largest binomial of its n
+_COUNT_FAMILIES = {
+    "lr": (lambda m: ["--n", str(m)], lambda m: (m**4 - 6 * m**3 + 23 * m**2 + 6 * m) // 24),
+    "left-l2": (lambda m: ["--n", str(m), "--l", "2"], lambda m: comb(m, 2)),
+    "left-central": (lambda m: ["--n", str(2 * m), "--l", str(m)], lambda m: comb(2 * m, m)),
+}
+_COUNT_BOUNDARY = {family: _last_under_ceiling(count)
+                   for family, (_, count) in _COUNT_FAMILIES.items()}
+_COUNT_REFUSAL = ("precondition violated: the generators value has more than 4300 digits, "
+                  "the limit of a counts report\n")
+
+
+@pytest.mark.parametrize("family", sorted(_COUNT_FAMILIES))
+@pytest.mark.parametrize("fmt", ["structured", "text"])
+def test_counts_writes_a_count_of_the_limit_and_refuses_one_digit_more(family, fmt):
+    argv_of, count = _COUNT_FAMILIES[family]
+    last = _COUNT_BOUNDARY[family]
+    assert len(str(count(last))) == cli.MAX_COUNT_DIGITS == 4300
+    assert count(last + 1) < 10 ** (cli.MAX_COUNT_DIGITS + 1)
+    code, out, err = run_cli(["counts", *argv_of(last), "--format", fmt])
+    assert (code, err) == (0, "")
+    assert f"generators: {count(last)}\n" in out if fmt == "text" else (
+        json.loads(out)["result"]["generators"] == count(last))
+    assert run_cli(["counts", *argv_of(last + 1), "--format", fmt]) == (3, "", _COUNT_REFUSAL)
+
+
+def test_counts_refuses_a_binomial_past_its_lower_bound_without_computing_it(monkeypatch):
+    monkeypatch.setattr(cli, "comb", None)
+    for n, l in ((40000, 20000), (10**9, 5 * 10**8), (10**9, 10**9 - 14285)):
+        assert run_cli(["counts", "--n", str(n), "--l", str(l)]) == (3, "", _COUNT_REFUSAL)
+
+
+_COUNT_SIZES = st.one_of(
+    st.integers(-5, 12), st.integers(-10**12, 10**12),
+    st.sampled_from(sorted(_COUNT_BOUNDARY.values())).flatmap(
+        lambda m: st.sampled_from([m - 1, m, m + 1, 2 * m, 2 * m + 2])),
+    st.sampled_from([10**9, 5 * 10**8, 10**100, 10**1099, 10**4299, -10**1099]).map(str),
+    st.just("9" * 5000))
+
+
+@settings(max_examples=150)
+@given(n=_COUNT_SIZES, l=st.none() | _COUNT_SIZES, fmt=st.sampled_from(["structured", "text"]))
+def test_counts_keeps_the_exit_contract(n, l, fmt):
+    """Small, limit-sized and huge sizes, negative ones, n < l, a
+    1,100-digit --n and an --n past the int-to-str digit limit: a
+    report (0), an argument error (2) or one precondition line (3),
+    never a traceback, and nothing on stdout unless the exit is 0."""
+    argv = ["counts", "--n", str(n), "--format", fmt] + ([] if l is None else ["--l", str(l)])
+    got = run_main(argv)
+    code, out, err = got["code"], got["stdout"], got["stderr"]
+    assert code in (0, 2, 3) and "Traceback" not in err
+    if code == 0:
+        assert err == "" and out
+    else:
+        assert out == "" and err.endswith("\n")
+        assert err.startswith("usage: matsep counts") if code == 2 else err.count("\n") == 1
 
 
 _CLAIM_FAMILIES = [[row.name for row in builtin_claims(n, l)] for n, l in ((4, None), (2, 2))]

@@ -7,21 +7,19 @@ a document of each of the four kinds, recorded at an 80-column terminal
 before the subcommands and their document kinds moved into one command
 table.  Document commands run from tests/golden/, so the report echoes
 each document's bare file name.  The parser of a call declares only the
-arguments of the subcommand its command line names; on help, usage
-errors and runs it answers as the parser that declares them all.
+arguments of the subcommand its command line names, and the other
+subcommands have no -h; on help, usage errors and runs it answers as the
+parser that declares them all.
 """
 
 import argparse
-import io
 import json
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from matsep import cli
-from matsep.cli import main
-from helpers import full_parser
+from helpers import full_parser, run_main
 
 GOLDEN = Path(__file__).parent / "golden"
 PINS = json.loads((GOLDEN / "cli_surface.json").read_text(encoding="utf-8"))
@@ -46,18 +44,6 @@ CASES.update({
 })
 CASES.update({f"{cmd}-{kind}": [cmd, doc] for cmd in DOCUMENT_COMMANDS
               for kind, doc in DOCUMENTS.items()})
-
-
-def run_main(argv) -> dict:
-    """Exit code, stdout and stderr of one CLI call; argparse's own exits
-    (help, usage errors) are caught and reported like returns."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def test_every_pin_has_a_case():
@@ -116,7 +102,9 @@ DOCUMENT = {cmd: DOCUMENTS["left-pair" if cmd in ("curve", "separate") else "lr-
             for cmd in DOCUMENT_COMMANDS}
 PARSE_SHAPES = [[], ["-h"], ["--", "counts", "--n", "4"], ["certify", "--claims", "counts"],
                 ["counts", "--n", "4", "--format", "xml"], ["counts", "extra"],
-                ["-h", "counts", "--n"], ["identities", "counts"]]
+                ["-h", "counts", "--n"], ["identities", "counts"], ["--n", "4", "counts"],
+                ["--format", "text", "counts", "--n", "4"], ["bogus", "-h"],
+                ["counts", "--n", "4", "separate"]]
 PARSE_SHAPES += [[cmd, "-h"] for cmd in SUBCOMMANDS] + [["bogus", cmd] for cmd in SUBCOMMANDS]
 PARSE_SHAPES += [shape for cmd in DOCUMENT_COMMANDS for shape in (
     [cmd], [cmd, DOCUMENT[cmd]], [cmd, DOCUMENT[cmd], "--format", "xml"],
@@ -140,17 +128,20 @@ def _subparsers(parser) -> dict:
 
 
 def _arguments(subparser) -> list:
-    return [(a.option_strings, a.dest, a.default, a.choices, a.type, a.required)
-            for a in subparser._actions if not isinstance(a, argparse._HelpAction)]
+    return [(type(a), a.option_strings, a.dest, a.default, a.choices, a.type, a.required)
+            for a in subparser._actions]
 
 
 @pytest.mark.parametrize("argv", PARSE_SHAPES, ids=" ".join)
 def test_only_the_named_subparser_declares_arguments(argv):
-    """Beyond -h, exactly the subparser argv names has arguments, and
-    they are the ones the full parser gives it."""
+    """Exactly the subparser argv names has actions: its -h and the
+    arguments the full parser gives it.  The others have none, not even
+    -h."""
     named = next((arg for arg in argv if arg in SUBCOMMANDS), None)
     full = _subparsers(full_parser())
     got = _subparsers(cli._build_parser(argv))
     assert list(got) == list(full)
     for name, subparser in got.items():
         assert _arguments(subparser) == (_arguments(full[name]) if name == named else [])
+    if named is not None:
+        assert _arguments(got[named])[0][:2] == (argparse._HelpAction, ["-h", "--help"])
