@@ -210,10 +210,12 @@ def _witness_json(report):
 
 # `invariants` refuses, before evaluating any value, a report of more
 # values than this: about 3.5 MB of JSON, under 0.5 s for an lr-tuple and
-# about 4 s for a 12-row left matrix (minors cost more as l grows), with
-# Python 3.11 on a shared VM.  `separate` refuses a left pair with more
-# maximal minors per side, since it may compare them all.  Every golden
-# and benchmark input holds at most 70.
+# about 0.6 s as a process for the 18,564 minors of a 12 x 18 left
+# matrix, with Python 3.11 on a shared VM.  `separate` refuses a left pair
+# with more maximal minors per side only before it walks them for a
+# witness (two sides of rank l with different row spaces); every other
+# left pair is decided from one elimination per side, at any size.  Every
+# golden and benchmark input holds at most 70.
 MAX_REPORT_VALUES = 20_000
 
 
@@ -241,9 +243,9 @@ def _invariants_left(A) -> dict:
 
 
 def _separate_left(first, second) -> dict:
-    _require_report_size(comb(first.n, first.l), f"a {first.l} x {first.n} left pair",
-                         "maximal minors per side", "compared values")
-    return _witness_json(separated_left(first, second))
+    return _witness_json(separated_left(first, second, lambda: _require_report_size(
+        comb(first.n, first.l), f"a {first.l} x {first.n} left pair",
+        "maximal minors per side", "compared values")))
 
 
 def _stability_lr(tup) -> dict:
@@ -344,27 +346,34 @@ def _cmd_identities(args) -> tuple:
 
 
 # `counts` refuses a value of more digits than this, Python's default
-# int-to-str digit limit (sys.int_info.default_max_str_digits), before
-# anything is written.  C(n, l) is refused before `comb` runs when a
-# lower bound already passes the limit: C(10**9, 5 * 10**8) alone did
-# not finish within 10 s.
+# int-to-str digit limit (sys.int_info.default_max_str_digits), or than
+# the interpreter's current limit when that is lower, before anything is
+# written.  C(n, l) is refused before `comb` runs when a lower bound
+# already passes the limit: C(10**9, 5 * 10**8) alone did not finish
+# within 10 s.
 MAX_COUNT_DIGITS = 4300
-_COUNT_CEILING = 10 ** MAX_COUNT_DIGITS
 
 
-def _count_too_long(key: str) -> PreconditionError:
-    return PreconditionError(f"the {key} value has more than {MAX_COUNT_DIGITS} digits, "
+def _count_digits() -> int:
+    """The most digits a counts value may have: MAX_COUNT_DIGITS, or the
+    interpreter's int-to-str digit limit where it is lower (0 is none)."""
+    limit = sys.get_int_max_str_digits()
+    return min(MAX_COUNT_DIGITS, limit) if limit else MAX_COUNT_DIGITS
+
+
+def _count_too_long(key: str, digits: int) -> PreconditionError:
+    return PreconditionError(f"the {key} value has more than {digits} digits, "
                              "the limit of a counts report")
 
 
-def _generator_count_left(n: int, l: int) -> int:
+def _generator_count_left(n: int, l: int, digits: int) -> int:
     """C(n, l) for n >= l >= 0, refused unevaluated when its lower bound
-    (n // k)**k, k = min(l, n - l), has more than MAX_COUNT_DIGITS digits.
-    Under that bound k < 14,285 and C(n, l) < 2**(3.5 * 14,285), so the
-    `comb` that runs is quick."""
+    (n // k)**k, k = min(l, n - l), has more than `digits` digits.  Under
+    that bound, with at most MAX_COUNT_DIGITS digits, k < 14,285 and
+    C(n, l) < 2**(3.5 * 14,285), so the `comb` that runs is quick."""
     k = min(l, n - l)
-    if k and k * ((n // k).bit_length() - 1) >= _COUNT_CEILING.bit_length():
-        raise _count_too_long("generators")
+    if k and k * ((n // k).bit_length() - 1) >= (10 ** digits).bit_length():
+        raise _count_too_long("generators", digits)
     return comb(n, l)
 
 
@@ -372,6 +381,7 @@ def _cmd_counts(args) -> tuple:
     digest = _args_digest({"n": args.n, "l": args.l})
     if args.n is None:
         raise PreconditionError("counts needs --n" + ("" if args.l is None else " alongside --l"))
+    digits = _count_digits()
     if args.l is None:
         payload = {"n": args.n,
                    "dim": invariant_dim_lr(args.n),
@@ -382,10 +392,11 @@ def _cmd_counts(args) -> tuple:
         payload = {"l": args.l, "n": args.n,
                    "lower_bound": lower_bound_left(args.l, args.n),
                    "dim": invariant_dim_left(args.l, args.n),
-                   "generators": _generator_count_left(args.n, args.l)}
+                   "generators": _generator_count_left(args.n, args.l, digits)}
+    ceiling = 10 ** digits
     for key, value in payload.items():
-        if abs(value) >= _COUNT_CEILING:
-            raise _count_too_long(key)
+        if abs(value) >= ceiling:
+            raise _count_too_long(key, digits)
     return digest, payload
 
 

@@ -24,8 +24,9 @@ polarized determinant x0 y3 + x3 y0 - x1 y2 - x2 y1 over q_i q_j
 depends on the pair (i, k) only, all xi are read off one table of C(n,2)
 integer wedge blocks, over q_i q_j q_k q_l.  For l x n matrices under
 left determinant-one multiplication the generators are the maximal
-minors, each an integer determinant of the matrix's integer rows over
-the product of the row scales.
+minors, each an integer minor of the matrix's integer rows over the
+product of the row scales, all read off one fraction-free Gauss-Jordan
+pass by Sylvester's identity (`minors_left`).
 
 Generator vectors are reported in a frozen canonical order (determinants,
 then pairings in lexicographic index order, then quadrilinear terms in
@@ -41,10 +42,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
+from operator import mul
 from typing import Sequence, Tuple
 
 from .errors import PreconditionError, ShapeError
-from .matrix import RMatrix, integer_det
+from .matrix import RMatrix, _bareiss, integer_det
 
 
 @dataclass(frozen=True)
@@ -229,17 +231,109 @@ def generators_lr(A: MatrixTupleLR) -> GeneratorVector:
                                   for _, _, nums, dens in generator_blocks(A)))
 
 
-def minors_left(A: LeftMatrix) -> Tuple[Fraction, ...]:
-    """All maximal minors, column subsets in lexicographic order.
+def _full_rank_form(rows: list, n: int):
+    """One fraction-free Gauss-Jordan pass over the integer rows of an
+    l x n matrix, l < n: (pivot columns P, g, d), with d = det(A_P) and
+    g = d times the reduced row echelon form, or None when the rank is
+    below l.  g is the integer matrix adj(A_P) A; a pivot row ends as its
+    pivot entry times its reduced row, whatever step it was last brought
+    to, so it is rescaled by its own pivot entry, not by a step's."""
+    red, pivots, _ = _bareiss(rows, n, upward=True)
+    if len(pivots) < len(rows):
+        return None
+    d = red[-1][pivots[-1]]
+    return pivots, [[e * d // row[c] for e in row] for row, c in zip(red, pivots)], d
 
-    Empty when n < l: the invariant ring is trivial there.
+
+def _minor_numerators(form, n: int):
+    """Yield det(A_S) for every l-column set S in lexicographic order, from
+    the `_full_rank_form` (P, g, d) of the integer rows A, each computed
+    when the iteration reaches it, by Sylvester's identity (see
+    `minors_left`).  `block(I, J)` is det(g[I, J]) / d^(k-1), k = |J| (d
+    for k = 0), by Laplace expansion along the first row of I; blocks of
+    size three or more are kept, so each is expanded once.  The sets
+    sharing their first l - 1 columns Q come in one run, and expanding
+    along the last column c, the run's blocks share their cofactors, the
+    blocks of the sets Q + p_i: with c free, a minor is one dot product of
+    column c of g with them, over d; with c = p_i, it is one of them.
+    Every block has size at most min(l, n - l)."""
+    pivots, g, d = form
+    l = len(pivots)
+    row_of = [None] * n
+    for i, c in enumerate(pivots):
+        row_of[c] = i
+    columns = list(zip(*g))
+    memo = {}
+
+    def block(I, J):
+        k = len(J)
+        if k < 3:
+            if k == 2:
+                (i, r), (a, b) = I, J
+                return (g[i][a] * g[r][b] - g[i][b] * g[r][a]) // d
+            return g[I[0]][J[0]] if k else d
+        key = I + J
+        value = memo.get(key)
+        if value is None:
+            top, rest, acc = g[I[0]], I[1:], 0
+            for t, c in enumerate(J):
+                if top[c]:
+                    term = top[c] * block(rest, J[:t] + J[t + 1:])
+                    acc = acc - term if t & 1 else acc + term
+            value = memo[key] = acc // d
+        return value
+
+    for Q in combinations(range(n - 1), l - 1):
+        at = [t for t, c in enumerate(Q) if row_of[c] is None]
+        J = tuple(Q[t] for t in at)
+        I = tuple(i for i, c in enumerate(pivots) if c not in Q)
+        base = sum(I) + sum(at)
+        cof, u = [0] * l, [0] * l
+        for t, i in enumerate(I):
+            cof[i] = block(I[:t] + I[t + 1:], J)
+            u[i] = -cof[i] if (t + len(J)) & 1 else cof[i]
+        free_odd = (base + l - 1) & 1
+        for c in range(Q[-1] + 1, n):
+            i = row_of[c]
+            if i is None:
+                value = sum(map(mul, u, columns[c])) // d
+                yield -value if free_odd else value
+            else:
+                yield -cof[i] if (base - i) & 1 else cof[i]
+
+
+def minors_left(A: LeftMatrix) -> Tuple[Fraction, ...]:
+    """All maximal minors, column subsets in lexicographic order, each an
+    integer minor of the matrix's integer rows A over the product of the
+    row scales.  Empty when n < l: the invariant ring is trivial there.
+
+    n = l is the one determinant.  For n > l one fraction-free
+    Gauss-Jordan pass gives the pivot columns P, d = det(A_P) and
+    g = adj(A_P) A, which is d times the reduced row echelon form; every
+    minor is 0 below rank l.  Sylvester's identity then gives each minor:
+    with I the rows of g whose pivot column is not in S and J = S minus
+    P, both increasing, and k = |J| = |I|,
+
+        det(A_S) = (-1)^(sum of I + sum of the positions of J in S)
+                   * det(g[I, J]) / d^(k-1),
+
+    since det(A_S) = d det(A_P^-1 A_S), where the pivot columns in S are
+    unit columns, and the sign is that of the Laplace expansion along
+    them.  The division is exact because the quotient is det(A_S), an
+    integer minor of A.  `_minor_numerators` divides by d once per
+    expansion step, and each step's quotient is a smaller block over its
+    own power of d, which is again plus or minus an integer minor of A.
     """
     l, n = A.l, A.n
     if n < l:
         return ()
     rows, scale = A.matrix._integer_rows()
-    return tuple(Fraction(integer_det([[row[c] for c in cols] for row in rows]), scale)
-                 for cols in combinations(range(n), l))
+    if n == l:
+        return (Fraction(integer_det(rows), scale),)
+    form = _full_rank_form(rows, n)
+    if form is None:
+        return (Fraction(0),) * comb(n, l)
+    return tuple(Fraction(x, scale) for x in _minor_numerators(form, n))
 
 
 def minor_column_sets(l: int, n: int) -> Tuple[Tuple[int, ...], ...]:

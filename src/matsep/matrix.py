@@ -10,11 +10,11 @@ its scale), also built on first use, so a matrix that is only eliminated
 never pays for either.
 
 One Bareiss-style integer kernel, `_bareiss`, serves rank, determinant,
-`rref` (and through it nullspace) and `echelon_sl`.  Every intermediate
-value is an exact minor of the scaled matrix, so entry growth stays
-polynomial.  A row swap negates the row it moves up, so every transform
-has determinant one; the sign rides in `div` and the catch-up of the
-pivot row applies it.
+`rref` (and through it nullspace), `echelon_sl` and the maximal minors.
+Every intermediate value is an exact minor of the scaled matrix, so
+entry growth stays polynomial.  A row swap negates the row it moves up,
+so every transform has determinant one; the sign rides in `div` and the
+catch-up of the pivot row applies it.
 A row whose entry in the pivot column is zero is skipped, not rewritten:
 with p_j the pivot of step j and p_{-1} = 1, a row last brought to step
 k equals its step-s Bareiss row times p_{k-1} / p_{s-1}, so the one

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from operator import mul
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import PreconditionError, ShapeError
-from .invariants import (LeftMatrix, MatrixTupleLR, generator_blocks,
-                         minor_column_sets, minors_left)
-from .matrix import RMatrix, adjugate
+from .invariants import (LeftMatrix, MatrixTupleLR, _full_rank_form, _minor_numerators,
+                         generator_blocks)
+from .matrix import RMatrix, adjugate, integer_det
 
 
 @dataclass(frozen=True)
@@ -110,12 +110,48 @@ def separated_lr(A: MatrixTupleLR, A2: MatrixTupleLR) -> SeparationReport:
     return SeparationReport(False)
 
 
-def separated_left(A: LeftMatrix, A2: LeftMatrix) -> SeparationReport:
-    """Decide separation of two left-action points by maximal minors."""
+def separated_left(A: LeftMatrix, A2: LeftMatrix,
+                   before_scan: Callable[[], None] = lambda: None) -> SeparationReport:
+    """Decide separation of two left-action points by maximal minors, from
+    one elimination per side: both sides below rank l agree (every minor
+    is 0); one side of rank l is separated from the other at its first
+    nonzero minor, on its pivot columns, the lexicographically first
+    basis; two sides of rank l with one row space (one reduced row
+    echelon form) have proportional minors, so they agree exactly when
+    det(A_P) = det(A2_P) on the pivot columns P, and otherwise differ
+    first at P.  Only two sides of rank l with different row spaces walk
+    the minors in canonical order, computed lazily, to the first that
+    differs; `before_scan` is called before that walk, and may raise to
+    refuse it.  Values x / p and y / q are compared as x q and y p, and
+    Fractions are built only for the witness."""
     if (A.l, A.n) != (A2.l, A2.n):
         raise ShapeError("matrices must have the same shape")
-    ma, mb = minors_left(A), minors_left(A2)
-    for cols, x, y in zip(minor_column_sets(A.l, A.n), ma, mb):
-        if x != y:
-            return SeparationReport(True, ("minor", cols), (x, y))
-    return SeparationReport(False)
+    l, n = A.l, A.n
+    if n < l:
+        return SeparationReport(False)
+    (rows, p), (rows2, q) = A.matrix._integer_rows(), A2.matrix._integer_rows()
+    if n == l:
+        return _left_verdict(range(l), integer_det(rows), p, integer_det(rows2), q)
+    form, form2 = _full_rank_form(rows, n), _full_rank_form(rows2, n)
+    if form is None or form2 is None:
+        if form is form2:
+            return SeparationReport(False)
+        pivots, _, d = form or form2
+        return _left_verdict(pivots, d if form else 0, p, d if form2 else 0, q)
+    (pivots, g, d), (_, g2, d2) = form, form2
+    if [e * d2 for row in g for e in row] == [e * d for row in g2 for e in row]:
+        return _left_verdict(pivots, d, p, d2, q)
+    before_scan()
+    for cols, x, y in zip(combinations(range(n), l), _minor_numerators(form, n),
+                          _minor_numerators(form2, n)):
+        if x * q != y * p:
+            return _left_verdict(cols, x, p, y, q)
+    raise AssertionError("different row spaces of rank l have different minors")
+
+
+def _left_verdict(cols, x, p, y, q) -> SeparationReport:
+    """The report for minors x / p and y / q on the 0-based columns cols."""
+    if x * q == y * p:
+        return SeparationReport(False)
+    return SeparationReport(True, ("minor", tuple(c + 1 for c in cols)),
+                            (Fraction(x, p), Fraction(y, q)))

@@ -6,8 +6,10 @@ and quadrilinear invariants are recomputed through symbolic expansion
 common roots through resultants, rational roots through the rational
 root theorem, the det and pairing blocks, nullcone membership, the
 direction gcd and the maximal minors through Fraction loops over the
-single-value functions, derivatives through symbolic differentiation, document entries through
-one regex-checked Fraction per entry,
+single-value functions, left separation through every minor of both
+sides compared in canonical order, derivatives through symbolic
+differentiation, document entries through one regex-checked Fraction
+per entry,
 Jacobians through dense and through sparse Fraction dual numbers,
 ranks and determinants through eager Bareiss elimination, reduced and
 determinant-one echelon forms through Fraction elimination loops, Laurent
@@ -31,8 +33,9 @@ from math import gcd
 from random import Random
 
 from matsep import (BinaryForm, InputError, LaurentPoly, LeftMatrix, MatrixTupleLR,
-                    PreconditionError, RMatrix, ShapeError, SparsePoly, GroupElementL,
-                    GroupElementLR, binary_form_gcd, bracket, det_inv, poly_expand_det, rat)
+                    PreconditionError, RMatrix, SeparationReport, ShapeError, SparsePoly,
+                    GroupElementL, GroupElementLR, binary_form_gcd, bracket, det_inv,
+                    poly_expand_det, rat)
 from matsep.certify import (CERTIFIED, FAILED, LOWER_BOUND_ONLY, CertificationError,
                             DimensionCertificate, _sample_point, jacobian)
 from matsep.cli import _COMMANDS, main
@@ -549,6 +552,16 @@ def minors_left_by_fractions(A: LeftMatrix) -> tuple:
         return ()
     return tuple(RMatrix(l, l, [A.matrix.at(r, c) for r in range(l) for c in cols]).det()
                  for cols in combinations(range(n), l))
+
+
+def separated_left_eager(A: LeftMatrix, B: LeftMatrix) -> SeparationReport:
+    """Every maximal minor of both sides, as Fraction submatrix
+    determinants, compared in canonical order."""
+    for cols, x, y in zip(combinations(range(1, A.n + 1), A.l),
+                          minors_left_by_fractions(A), minors_left_by_fractions(B)):
+        if x != y:
+            return SeparationReport(True, ("minor", cols), (x, y))
+    return SeparationReport(False)
 
 
 # -- eager Bareiss elimination -------------------------------------------------

@@ -357,10 +357,10 @@ def test_counts_exits_0_or_3_with_one_precondition_line(n, l):
         assert err.startswith("precondition violated: ") and err.count("\n") == 1
 
 
-def _last_under_ceiling(count) -> int:
-    """The largest m >= 1 whose count(m) has at most MAX_COUNT_DIGITS
-    digits, for a count increasing in m."""
-    ceiling = 10 ** cli.MAX_COUNT_DIGITS
+def _last_under_ceiling(count, digits=cli.MAX_COUNT_DIGITS) -> int:
+    """The largest m >= 1 whose count(m) has at most `digits` digits, for
+    a count increasing in m."""
+    ceiling = 10 ** digits
     lo, hi = 1, 2
     while count(hi) < ceiling:
         lo, hi = hi, 2 * hi
@@ -427,6 +427,33 @@ def test_counts_keeps_the_exit_contract(n, l, fmt):
     else:
         assert out == "" and err.endswith("\n")
         assert err.startswith("usage: matsep counts") if code == 2 else err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["structured", "text"])
+def test_counts_holds_its_values_to_a_lowered_int_digit_limit(fmt):
+    """Under an interpreter limit of 1,000 digits, a count of 1,000
+    digits is written and one of 1,001, or the 1,200 digits of the
+    two-sided count at a 300-digit n, exits 3 with nothing written; with
+    no limit (0), MAX_COUNT_DIGITS still holds.  The limit is restored."""
+    argv_of, count = _COUNT_FAMILIES["left-l2"]
+    last = _last_under_ceiling(count, 1000)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(1000)
+        lowered = [run_cli(["counts", *argv, "--format", fmt])
+                   for argv in (argv_of(last), argv_of(last + 1), ["--n", "9" * 300])]
+        sys.set_int_max_str_digits(0)
+        unlimited = run_cli(["counts", "--n", "40000", "--l", "20000", "--format", fmt])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert sys.get_int_max_str_digits() == limit
+    code, out, err = lowered[0]
+    assert (code, err) == (0, "") and len(str(count(last))) == 1000
+    assert (f"generators: {count(last)}\n" in out if fmt == "text"
+            else json.loads(out)["result"]["generators"] == count(last))
+    assert lowered[1] == (3, "", _COUNT_REFUSAL.replace("4300", "1000"))
+    assert lowered[2] == (3, "", _COUNT_REFUSAL.replace("4300", "1000"))
+    assert unlimited == (3, "", _COUNT_REFUSAL)
 
 
 _CLAIM_FAMILIES = [[row.name for row in builtin_claims(n, l)] for n, l in ((4, None), (2, 2))]

@@ -33,12 +33,15 @@ leading zeros, "0/7", padding stripped, reducible "p/q" and 2**70 as a
 JSON integer and as a string; and the exit-2 message for "1/0", a
 full-width digit, "1.5" and `true`), so ranks,
 minors, witness points, directions and verdicts are pinned, not
-re-derived.  Document commands run from tests/golden/,
+re-derived.  A 12 x 40 left orbit pair, recorded when left pairs were
+first decided from one elimination per side, is not separated, and its
+report comes back within 2 s.  Document commands run from tests/golden/,
 so the report echoes each document's bare file name.  A refusal's
 golden file is its one stderr line, with exit code 3 and no report (a
 certify Jacobian, an `invariants` report of more values than the limit,
 C(40, 12) minors or the 20,881 generators at n = 28, a `separate` of a
-12 x 40 left pair, C(40, 12) minors per side, an `invariants` value
+12 x 40 left pair whose row spaces differ, so that its C(40, 12) minors
+per side would be walked for a witness, an `invariants` value
 of about 4,400 digits, over the interpreter's int-to-str digit limit,
 or a `counts` generator count C(40000, 20000) or C(10**9, 5 * 10**8),
 past the 4,300 digits of a counts report, as JSON and as text);
@@ -147,6 +150,12 @@ INPUT_ERROR_CASES = [
      ["invariants", "lr_tuple_nested_100000_deep.json"]),
 ]
 
+# Large documents that are decided at once: a 12 x 40 orbit pair, whose
+# C(40, 12) minors per side are compared through one elimination per side.
+AT_ONCE_CASES = [
+    ("separate_left_pair_orbit_l12_n40.txt", ["separate", "left_pair_orbit_l12_n40.json"]),
+]
+
 REFUSAL_CASES = [
     ("certify_n100000_gamma_trials1_refusal.txt",
      ["certify", "--n", "100000", "--claims", "gamma", "--trials", "1"]),
@@ -182,6 +191,14 @@ def test_document_report_matches_golden(name, argv, monkeypatch):
     _assert_matches_golden(name, argv)
 
 
+@pytest.mark.parametrize("name,argv", AT_ONCE_CASES, ids=[c[0] for c in AT_ONCE_CASES])
+def test_large_document_report_matches_golden_at_once(name, argv, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    start = time.perf_counter()
+    _assert_matches_golden(name, argv)
+    assert time.perf_counter() - start < 2.0
+
+
 def _assert_error_matches_golden_at_once(name, argv, want_code):
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
@@ -205,11 +222,11 @@ def test_input_error_matches_golden(name, argv, monkeypatch):
 
 
 def test_every_golden_report_is_referenced_and_present():
-    referenced = {name for name, _ in
-                  CASES + DOCUMENT_CASES + REFUSAL_CASES + INPUT_ERROR_CASES}
+    referenced = {name for name, _ in CASES + DOCUMENT_CASES + AT_ONCE_CASES
+                  + REFUSAL_CASES + INPUT_ERROR_CASES}
     on_disk = {p.name for p in GOLDEN.glob("*.txt")}
     assert not on_disk - referenced, "golden reports no case checks"
     assert not referenced - on_disk, "cases whose golden report is missing"
-    for _, argv in DOCUMENT_CASES + INPUT_ERROR_CASES + REFUSAL_CASES:
+    for _, argv in DOCUMENT_CASES + AT_ONCE_CASES + INPUT_ERROR_CASES + REFUSAL_CASES:
         if argv[0] not in ("certify", "counts"):
             assert (GOLDEN / argv[1]).is_file(), argv

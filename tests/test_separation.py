@@ -1,15 +1,20 @@
 from collections import Counter
 from fractions import Fraction
+from math import comb
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matsep import (GroupElementLR, LeftMatrix, MatrixTupleLR,
                     PreconditionError, RMatrix, SeparationReport, ShapeError,
                     act_left, act_lr, generators_lr, minors_left,
                     separated_left, separated_lr, star)
-from helpers import (inverse, rand_group_left, rand_group_lr, rand_left, rand_matrix,
-                     rand_sl2, rand_tuple, transpose)
+from matsep import invariants, matrix
+from helpers import (bareiss_rank, inverse, minors_left_by_fractions, rand_fraction,
+                     rand_group_left, rand_group_lr, rand_left, rand_left_nullcone,
+                     rand_matrix, rand_sl, rand_sl2, rand_tuple, scaled,
+                     separated_left_eager, transpose)
 
 
 def test_act_identity_and_group_law():
@@ -175,3 +180,176 @@ def test_lazy_separation_matches_eager_comparison():
         first_kinds[rep.witness[0] if rep.separated else None] += 1
     assert first_kinds[None] == 40
     assert min(first_kinds["det"], first_kinds["bracket"], first_kinds["xi"]) >= 30
+
+
+# -- left separation from one elimination per side -------------------------------
+
+_COLUMN_KINDS = ("generic", "zero", "repeated", "late pivots")
+_LEFT_PAIR_KINDS = ("orbit", "scaled orbit", "one deficient", "both deficient",
+                    "last minor", "random")
+
+
+def _left_rows(rng, l, n, columns):
+    """l x n Fraction rows, about a third of the entries 0, so rows meet
+    zeros in pivot columns; `columns` adds zero columns, a repeated
+    column, or n - l + 1 first columns on one line, which puts every pivot
+    but one past those columns."""
+    rows = [[Fraction(0) if rng.random() < 0.3 else rand_fraction(rng) for _ in range(n)]
+            for _ in range(l)]
+    if columns == "zero":
+        for c in rng.sample(range(n), rng.randint(1, max(1, n - l))):
+            for row in rows:
+                row[c] = Fraction(0)
+    elif columns == "repeated":
+        src, dst = rng.sample(range(n), 2)
+        k = rand_fraction(rng, -3, 3)
+        for row in rows:
+            row[dst] = k * row[src]
+    elif columns == "late pivots":
+        _on_one_line(rng, rows, n - l + 1)
+    return rows
+
+
+def _on_one_line(rng, rows, count, multiples=(0, 1, -2, Fraction(1, 2))):
+    """Make the first `count` columns multiples of one nonzero column w;
+    returns w."""
+    w = [rand_fraction(rng) or Fraction(1) for _ in rows]
+    for c in range(count):
+        k = rng.choice(multiples)
+        for row, x in zip(rows, w):
+            row[c] = k * x
+    return w
+
+
+def _deficient(rng, rows):
+    """The rows with the last one replaced by a combination of the others."""
+    coeffs = [rand_fraction(rng, -3, 3) for _ in rows[:-1]]
+    last = [sum((k * row[c] for k, row in zip(coeffs, rows)), Fraction(0))
+            for c in range(len(rows[0]))]
+    return rows[:-1] + [last]
+
+
+def _left_pair(rng, l, n, columns, kind):
+    """(A, B) of one kind: B in A's orbit, or in it times a determinant-2
+    row scaling; one or both sides below rank l; B with only its last
+    column moved, by the vector that A's first n - l columns are
+    multiples of, so only the last minor changes; or B at random."""
+    rows = _left_rows(rng, l, n, columns)
+    g = rand_sl(rng, l)
+    if kind == "last minor":
+        w = _on_one_line(rng, rows, n - l, (1, -2, Fraction(1, 2)))
+        second = [row[:-1] + [row[-1] + x] for row, x in zip(rows, w)]
+    elif kind == "random":
+        second = _left_rows(rng, l, n, columns)
+    else:
+        if kind == "both deficient":
+            rows = _deficient(rng, rows)
+        source = _deficient(rng, rows) if kind.endswith("deficient") else rows
+        second = (g @ RMatrix.from_rows(source)).to_rows()
+        if kind == "scaled orbit":
+            second[0] = [2 * x for x in second[0]]
+    return LeftMatrix.from_rows(rows), LeftMatrix.from_rows(second)
+
+
+def _assert_left_pair_matches_oracles(A, B):
+    assert minors_left(A) == minors_left_by_fractions(A)
+    assert minors_left(B) == minors_left_by_fractions(B)
+    rep = separated_left(A, B)
+    assert rep == separated_left_eager(A, B)
+    return rep
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_left_minors_and_separation_match_the_eager_oracles(l):
+    """Every pair kind on every column kind, at n = l, l + 1 and l + 3,
+    each way round: the minors match Fraction submatrix determinants and
+    the verdict and witness match comparing every minor in order."""
+    rng = Random(600 + l)
+    verdicts = Counter()
+    for n in (l, l + 1, l + 3):
+        for columns in _COLUMN_KINDS:
+            for kind in _LEFT_PAIR_KINDS:
+                A, B = _left_pair(rng, l, n, columns, kind)
+                for first, second in ((A, B), (B, A)):
+                    rep = _assert_left_pair_matches_oracles(first, second)
+                    verdicts[kind, rep.separated] += 1
+                    if kind == "last minor" and rep.separated:
+                        assert rep.witness == ("minor", tuple(range(n - l + 1, n + 1)))
+    for kind in ("orbit", "both deficient"):
+        assert verdicts[kind, True] == 0
+    for kind in ("scaled orbit", "one deficient", "last minor", "random"):
+        assert verdicts[kind, True] >= 8
+
+
+@settings(max_examples=150, deadline=None)
+@given(l=st.integers(2, 5), extra=st.integers(0, 4), columns=st.sampled_from(_COLUMN_KINDS),
+       kind=st.sampled_from(_LEFT_PAIR_KINDS), rng=st.randoms(use_true_random=False))
+def test_left_minors_and_separation_match_the_eager_oracles_on_drawn_pairs(
+        l, extra, columns, kind, rng):
+    _assert_left_pair_matches_oracles(*_left_pair(rng, l, l + extra, columns, kind))
+
+
+def test_left_separation_walks_the_minors_only_for_two_row_spaces_of_rank_l():
+    """`before_scan` runs exactly when both sides have rank l < n and
+    their stacked rank is above l, and it can refuse the walk."""
+    rng = Random(620)
+    walked = Counter()
+    for l in (2, 3, 4):
+        for n in (l, l + 2):
+            for kind in _LEFT_PAIR_KINDS:
+                A, B = _left_pair(rng, l, n, "generic", kind)
+                calls = []
+                rep = separated_left(A, B, lambda: calls.append(1))
+                ranks = bareiss_rank(A.matrix), bareiss_rank(B.matrix)
+                scan = n > l and ranks == (l, l) and bareiss_rank(A.matrix.vstack(B.matrix)) > l
+                assert calls == ([1] if scan else [])
+                walked[scan] += 1
+                if scan:
+                    with pytest.raises(PreconditionError):
+                        separated_left(A, B, _refuse)
+                else:
+                    assert separated_left(A, B, _refuse) == rep
+    assert min(walked.values()) >= 5
+
+
+def _refuse():
+    raise PreconditionError("no walk")
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """The calls of the elimination kernel, through every module that
+    holds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    real = matrix._bareiss
+    for module in (matrix, invariants):
+        monkeypatch.setattr(module, "_bareiss", counted)
+    return calls
+
+
+@pytest.mark.parametrize("l,n", [(3, 6), (5, 20), (8, 40), (12, 40), (12, 12)])
+def test_left_separation_makes_two_eliminations_at_any_size(bareiss_calls, l, n):
+    """An orbit pair, a scaled orbit pair and a pair with one side below
+    rank l are decided from one elimination per side, whatever C(n, l)."""
+    rng = Random(630 + n)
+    A = rand_left(rng, l, n)
+    B = act_left(rand_group_left(rng, l), A)
+    C = LeftMatrix(scaled(B.matrix, 2))
+    D = LeftMatrix.from_rows(_deficient(rng, B.matrix.to_rows()))
+    for second, separated in ((B, False), (C, True), (D, True)):
+        bareiss_calls.clear()
+        assert separated_left(A, second).separated == separated
+        assert len(bareiss_calls) == 2
+
+
+@pytest.mark.parametrize("l,n", [(2, 3), (3, 7), (5, 9), (4, 12), (6, 6)])
+def test_minors_left_makes_one_elimination(bareiss_calls, l, n):
+    rng = Random(640 + n)
+    for A in (rand_left(rng, l, n), rand_left_nullcone(rng, l, n)):
+        bareiss_calls.clear()
+        assert len(minors_left(A)) == comb(n, l)
+        assert len(bareiss_calls) == 1
