@@ -81,6 +81,9 @@ FAILED = "FAILED"
 # than run out of memory.  Every builtin claim up to n = 100 and up to
 # (l, n) = (10, 40) stays below it.
 MAX_JACOBIAN_ENTRIES = 4_000_000
+# A claim below its rank bound runs every trial, about 0.5 ms each at
+# n = 4 and more at larger n, so more trials than this are refused.
+MAX_TRIALS = 100
 
 
 @dataclass(frozen=True)
@@ -209,10 +212,13 @@ def certify_dimension(param: Parameterization, claimed: int,
     Each rank is taken at the sample moved to the identity of its group
     charts, where it is the same (see the module docstring); the
     witness is the sample itself.  A Jacobian of more than
-    MAX_JACOBIAN_ENTRIES entries is refused before any sample.
+    MAX_JACOBIAN_ENTRIES entries, or more than MAX_TRIALS trials, is
+    refused before any sample.
     """
     if trials < 1:
         raise PreconditionError("at least one trial is required")
+    if trials > MAX_TRIALS:
+        raise PreconditionError(f"{trials} trials exceed the limit of {MAX_TRIALS}")
     if param.output_count * param.param_count > MAX_JACOBIAN_ENTRIES:
         raise PreconditionError(
             f"{param.name}: a {param.output_count} x {param.param_count} Jacobian "

@@ -43,30 +43,14 @@ from .separation import separated_left, separated_lr
 # -- input documents ----------------------------------------------------------
 
 
-def _entry(value) -> tuple:
-    """(p, q) of one entry in lowest terms: an int, or a 'p' or 'p/q' string."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value, 1
-    if isinstance(value, str):
-        try:
-            (p,), (q,) = literal_parts([value])
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-        return p, q
-    raise InputError(f"entries must be integers or 'p/q' strings, got {value!r}")
-
-
 def _document_rows(rows: list, width: int) -> tuple:
     """(ints, scales) of rows of `width` entries: row r is ints[r] over
-    scales[r], the lcm of its denominators.  Rows of literals are read in
-    one pass; other rows entry by entry, which reports the first bad
-    entry in reading order."""
-    entries = [e for row in rows for e in row]
+    scales[r], the lcm of its denominators.  The entries are read in one
+    pass, which reports the first bad entry in reading order."""
     try:
-        nums, dens = literal_parts(entries)
-    except (AttributeError, ValueError):
-        parts = [_entry(e) for e in entries]
-        nums, dens = [p for p, _ in parts], [q for _, q in parts]
+        nums, dens = literal_parts([e for row in rows for e in row])
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     return ratio_rows(nums, dens, len(rows), width)
 
 

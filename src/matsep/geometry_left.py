@@ -25,7 +25,7 @@ from .errors import PreconditionError, ShapeError
 from .invariants import LeftMatrix
 from .laurent import LaurentMatrix
 from .matrix import RMatrix, _bareiss, adjugate, grid_product
-from .rational import common_scale, integer_form
+from .rational import common_scale
 from .separation import GroupElementL
 
 
@@ -92,13 +92,6 @@ def graph_member_l23(A: LeftMatrix, A2: LeftMatrix) -> bool:
     if A.l not in (2, 3):
         raise PreconditionError("exact test available only for l = 2 or l = 3")
     return graph_necessary(A, A2)
-
-
-def _integer_grid(rows) -> Tuple[list, int]:
-    """Rational rows as integer rows over their least common denominator."""
-    flat, scale = integer_form([e for row in rows for e in row])
-    k = len(rows[0])
-    return [flat[i * k:(i + 1) * k] for i in range(len(rows))], scale
 
 
 def _stacked_rows(*matrices) -> Tuple[list, int]:
@@ -219,8 +212,8 @@ def _second_row_combination(x, y) -> Tuple[list, int]:
     replaces the second row of (r1; r2; 0) by x*r1 + y*r2, swapping the
     top rows first (and negating the third) when y vanishes."""
     if y:
-        return _integer_grid([[1, 0, 0], [x, y, 0], [0, 0, 1 / y]])
-    return _integer_grid([[0, 1, 0], [x, 0, 0], [0, 0, -1 / x]])
+        return _stacked_rows(RMatrix.from_rows([[1, 0, 0], [x, y, 0], [0, 0, 1 / y]]))
+    return _stacked_rows(RMatrix.from_rows([[0, 1, 0], [x, 0, 0], [0, 0, -1 / x]]))
 
 
 def _curve_l3(a, b, scale) -> CurveWitness:

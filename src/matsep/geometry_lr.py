@@ -62,24 +62,11 @@ class UpperPair:
     def n(self) -> int:
         return self.first.n
 
-    # entry vectors across the tuple, named after the generic pair
-    def a_vec(self):
-        return self.first.entry_vector(0, 0)
-
-    def b_vec(self):
-        return self.first.entry_vector(0, 1)
-
-    def d_vec(self):
-        return self.first.entry_vector(1, 1)
-
-    def a2_vec(self):
-        return self.second.entry_vector(0, 0)
-
-    def b2_vec(self):
-        return self.second.entry_vector(0, 1)
-
-    def d2_vec(self):
-        return self.second.entry_vector(1, 1)
+    def rows(self) -> tuple:
+        """The entry vectors (a, b, d, a', b', d') across the pair, named
+        after the generic pair, in the row order of _upper_pair_rows."""
+        return tuple(t.entry_vector(r, c) for t in (self.first, self.second)
+                     for r, c in ((0, 0), (0, 1), (1, 1)))
 
 
 @dataclass(frozen=True)
@@ -139,16 +126,21 @@ def common_directions(A: MatrixTupleLR) -> Optional[List[ProjectivePoint]]:
     (either stable or only irrational common roots) or carry the rational
     common roots.
     """
-    return _directions_of(_direction_gcd(A))
+    return rational_projective_roots(_direction_gcd(A))
 
 
-def _directions_of(gcd: BinaryForm) -> Optional[List[ProjectivePoint]]:
-    """common_directions, read off an already computed direction gcd."""
-    if gcd.is_zero:
-        return None
-    if gcd.degree == 0:
-        return []
-    return rational_projective_roots(gcd)
+def _triangularizer(ints, v1, v2) -> tuple:
+    """(images, r0, r1, f, h, e): the triangularizer for the direction
+    (v1, v2) of the matrices given by row-major quadruples `ints`.  The
+    images are A_i v; the left factor's rows are r0 and r1 / f, the second
+    annihilating the first nonzero image (p0, p1), the identity when every
+    image is zero; the right factor's inverse has first column v and
+    second column h / e, (0, 1/v1) or (-1/v2, 0)."""
+    images = [(x0 * v1 + x1 * v2, x2 * v1 + x3 * v2) for x0, x1, x2, x3 in ints]
+    p0, p1 = next((im for im in images if im != (0, 0)), (1, 0))
+    r0, r1, f = ((1, 0), (-p1, p0), p0) if p0 else ((0, -1), (1, 0), 1)
+    h, e = ((0, 1), v1) if v1 else ((-1, 0), v2)
+    return images, r0, r1, f, h, e
 
 
 def triangularizer_for_direction(A: MatrixTupleLR, v: ProjectivePoint) -> GroupElementLR:
@@ -156,28 +148,16 @@ def triangularizer_for_direction(A: MatrixTupleLR, v: ProjectivePoint) -> GroupE
 
     The direction v becomes the first column of the inverse right factor;
     a covector annihilating the common image line becomes the second row
-    of the left factor.
+    of the left factor.  Both are read off the integer form, whose
+    matrix i is A_i times q_i > 0, which leaves every image's line as it is.
     """
     v1, v2 = Fraction(v[0]), Fraction(v[1])
     if v1 == 0 and v2 == 0:
         raise PreconditionError("direction must be nonzero")
-    if v1 != 0:
-        h = RMatrix(2, 2, [v1, Fraction(0), v2, 1 / v1])
-    else:
-        h = RMatrix(2, 2, [v1, -1 / v2, v2, Fraction(0)])
-    images = [m.mul_vec((v1, v2)) for m in A.matrices]
-    pivot = next((s for s in images if s != (0, 0)), None)
-    if pivot is None:
-        w = (Fraction(0), Fraction(1))
-    else:
-        w = (-pivot[1], pivot[0])
-    if w[1] != 0:
-        w = (w[0] / w[1], Fraction(1))
-        g1 = RMatrix(2, 2, [Fraction(1), Fraction(0), w[0], w[1]])
-    else:
-        w = (Fraction(1), Fraction(0))
-        g1 = RMatrix(2, 2, [Fraction(0), Fraction(-1), w[0], w[1]])
-    return GroupElementLR(g1, RMatrix.from_rows(adjugate(h.to_rows())))
+    _, r0, (r10, r11), f, (h0, h1), e = _triangularizer(A.integer_form[0], v1, v2)
+    g1 = RMatrix(2, 2, [*r0, Fraction(r10, f), Fraction(r11, f)])
+    h = [[v1, Fraction(h0, e)], [v2, Fraction(h1, e)]]
+    return GroupElementLR(g1, RMatrix.from_rows(adjugate(h)))
 
 
 def is_stable_lr(A: MatrixTupleLR) -> StabilityReport:
@@ -190,16 +170,11 @@ def is_stable_lr(A: MatrixTupleLR) -> StabilityReport:
     roots it reports non-stable without a witness.
     """
     gcd = _direction_gcd(A)
-    if gcd.is_zero:
-        v = (Fraction(1), Fraction(0))
-        return StabilityReport(False, triangularizer_for_direction(A, v), v)
-    if gcd.degree == 0:
-        return StabilityReport(True)
     roots = rational_projective_roots(gcd)
-    if roots:
-        v = roots[0]
-        return StabilityReport(False, triangularizer_for_direction(A, v), v)
-    return StabilityReport(False, None, None)
+    if roots == []:
+        return StabilityReport(gcd.degree == 0)
+    v = (Fraction(1), Fraction(0)) if roots is None else roots[0]
+    return StabilityReport(False, triangularizer_for_direction(A, v), v)
 
 
 def nullcone_member_lr(A: MatrixTupleLR) -> bool:
@@ -265,17 +240,13 @@ CR = "CR"
 CC = "CC"
 
 
-def _patterns(a, d, a2, d2) -> set:
-    """The pattern flags of an upper pair's diagonal vectors, given as
-    Fractions or as integers over one scale per column shared by both
-    sides: CR when (d', a) and (d, a') are proportional, CC when (a', a)
-    and (d, d') are."""
+def _patterns(a, _b, d, a2, _b2, d2) -> set:
+    """The pattern flags of an upper pair's rows (a, b, d, a', b', d'),
+    given as Fractions or as integers over one scale per column shared by
+    both sides: CR when (d', a) and (d, a') are proportional, CC when
+    (a', a) and (d, d') are."""
     return {flag for flag, (xs, ys) in ((CR, (d2 + a, d + a2)), (CC, (a2 + a, d + d2)))
             if _proportional(xs, ys)}
-
-
-def _diagonals(p: UpperPair) -> tuple:
-    return p.a_vec(), p.d_vec(), p.a2_vec(), p.d2_vec()
 
 
 def _upper_pair_rows(p: UpperPair) -> tuple:
@@ -291,28 +262,29 @@ def _upper_pair_rows(p: UpperPair) -> tuple:
 
 def in_cr(p: UpperPair) -> bool:
     """Row pattern: (d, a') proportional to (d', a), and non-separated."""
-    return not separated_lr(p.first, p.second).separated and CR in _patterns(*_diagonals(p))
+    return not separated_lr(p.first, p.second).separated and CR in _patterns(*p.rows())
 
 
 def in_cc(p: UpperPair) -> bool:
     """Column pattern: (d, d') proportional to (a', a), and non-separated."""
-    return not separated_lr(p.first, p.second).separated and CC in _patterns(*_diagonals(p))
+    return not separated_lr(p.first, p.second).separated and CC in _patterns(*p.rows())
 
 
 def m_matrix(p: UpperPair) -> RMatrix:
     """6 x n stack of the rows a, b, d, a', b', d'."""
-    return stack_rows([p.a_vec(), p.b_vec(), p.d_vec(),
-                       p.a2_vec(), p.b2_vec(), p.d2_vec()])
+    return stack_rows(list(p.rows()))
 
 
 def m_r(p: UpperPair) -> RMatrix:
     """4 x n stack (a, b, b', d') attached to row-pattern pairs."""
-    return stack_rows([p.a_vec(), p.b_vec(), p.b2_vec(), p.d2_vec()])
+    a, b, _, _, b2, d2 = p.rows()
+    return stack_rows([a, b, b2, d2])
 
 
 def m_c(p: UpperPair) -> RMatrix:
     """4 x n stack (a, b, b', a') attached to column-pattern pairs."""
-    return stack_rows([p.a_vec(), p.b_vec(), p.b2_vec(), p.a2_vec()])
+    a, b, _, a2, b2, _ = p.rows()
+    return stack_rows([a, b, b2, a2])
 
 
 def _require_non_separated(A: MatrixTupleLR, A2: MatrixTupleLR):
@@ -345,15 +317,8 @@ def classify_pair(p: UpperPair) -> FrozenSet[str]:
     its row- and column-proportional components.
     """
     _require_non_separated(p.first, p.second)
-    return _flags_of_non_separated(p)
-
-
-def _flags_of_non_separated(p: UpperPair) -> FrozenSet[str]:
-    """classify_pair for a pair already known to be non-separated, on the
-    integer rows of the pair."""
     rows = _upper_pair_rows(p)[0]
-    a, _, d, a2, _, d2 = rows
-    flags = _patterns(a, d, a2, d2)
+    flags = _patterns(*rows)
     if len(_bareiss(rows, p.n)[1]) <= 3:
         flags.add(GAMMA)
     return frozenset(flags)
@@ -374,14 +339,8 @@ def _upper_rows(A: MatrixTupleLR, v: ProjectivePoint) -> tuple:
     factor's second row.
     """
     ints, scale = A.integer_form
-    v1, v2 = integer_form(v)[0]
-    images = [(x0 * v1 + x1 * v2, x2 * v1 + x3 * v2) for x0, x1, x2, x3 in ints]
-    # the left factor's rows over f: the second annihilates the first nonzero
-    # image (p0, p1); with every image zero, (1, 0) gives the identity
-    p0, p1 = next((im for im in images if im != (0, 0)), (1, 0))
-    (r00, r01), (r10, r11), f = ((1, 0), (-p1, p0), p0) if p0 else ((0, -1), (1, 0), 1)
-    # the right factor: first column v, second column (0, 1/v1) or (-1/v2, 0)
-    (h0, h1), e = ((0, 1), v1) if v1 else ((-1, 0), v2)
+    images, (r00, r01), (r10, r11), f, (h0, h1), e = _triangularizer(
+        ints, *integer_form(v)[0])
     a, b, d = [], [], []
     for (x0, x1, x2, x3), (y0, y1) in zip(ints, images):
         z0, z1 = x0 * h0 + x1 * h1, x2 * h0 + x3 * h1
@@ -423,15 +382,14 @@ def classify_pair_any(A: MatrixTupleLR, A2: MatrixTupleLR) -> FrozenSet[str]:
     """
     _require_non_separated(A, A2)
 
-    gcd_a, gcd_b = _direction_gcd(A), _direction_gcd(A2)
-    stable_a = not gcd_a.is_zero and gcd_a.degree == 0
-    stable_b = not gcd_b.is_zero and gcd_b.degree == 0
+    gcds = _direction_gcd(A), _direction_gcd(A2)
+    stable_a, stable_b = (not g.is_zero and g.degree == 0 for g in gcds)
     if stable_a or stable_b:
         if not (stable_a and stable_b):
             raise PreconditionError("non-separated pair with mixed stability")
         return frozenset({GAMMA})
 
-    dirs_a, dirs_b = _directions_of(gcd_a), _directions_of(gcd_b)
+    dirs_a, dirs_b = map(rational_projective_roots, gcds)
     if dirs_a == []:
         raise PreconditionError("first tuple has no rational triangularizing direction")
     if dirs_b == []:
@@ -442,6 +400,6 @@ def classify_pair_any(A: MatrixTupleLR, A2: MatrixTupleLR) -> FrozenSet[str]:
     reps_b = [_upper_rows(A2, v) for v in cand_b]
     joint = [_joint_rows(_upper_rows(A, v), ub) for v in cand_a for ub in reps_b]
     flags = {GAMMA} if len(_bareiss(joint[0], A.n)[1]) <= 3 else set()
-    for a, _, d, a2, _, d2 in joint:
-        flags |= _patterns(a, d, a2, d2)
+    for rows in joint:
+        flags |= _patterns(*rows)
     return frozenset(flags)

@@ -40,25 +40,33 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(p, q)
 
 
-def literal_parts(texts: list) -> tuple:
+def literal_parts(values: list) -> tuple:
     """(numerators, denominators) in lowest terms, denominators positive,
-    of a list of 'p' or 'p/q' literals: ASCII digits, an optional sign on
-    p, q nonzero, surrounding whitespace stripped.  Raises ValueError
-    naming the first string that is not such a literal (or whose digits
-    int() refuses)."""
-    matches = [_RATIONAL_RE.match(t.strip()) for t in texts]
-    if None in matches:
-        raise ValueError(f"not an exact rational literal: {texts[matches.index(None)]!r}")
+    of a list of entries, each an int (not a bool) or a 'p' or 'p/q'
+    literal: ASCII digits, an optional sign on p, q nonzero, surrounding
+    whitespace stripped.  Read in one pass, in list order: raises
+    ValueError at the first entry that is neither, or whose digits int()
+    refuses."""
     nums, dens = [], []
-    for num, den in [m.groups() for m in matches]:
-        if den is None:
-            nums.append(int(num))
-            dens.append(1)
-        else:
+    for v in values:
+        if isinstance(v, str):
+            m = _RATIONAL_RE.match(v.strip())
+            if m is None:
+                raise ValueError(f"not an exact rational literal: {v!r}")
+            num, den = m.groups()
+            if den is None:
+                nums.append(int(num))
+                dens.append(1)
+                continue
             p, q = int(num), int(den)
             g = gcd(p, q)
             nums.append(p // g)
             dens.append(q // g)
+        elif isinstance(v, int) and not isinstance(v, bool):
+            nums.append(v)
+            dens.append(1)
+        else:
+            raise ValueError(f"entries must be integers or 'p/q' strings, got {v!r}")
     return nums, dens
 
 

@@ -10,7 +10,8 @@ from matsep import (CertificationError, ChartSingularityError, LeftMatrix,
                     certify_builtin, certify_dimension, generators_lr,
                     is_stable_lr, jacobian, m_matrix, act_lr, separated_lr,
                     sl2_chart, verify_bracket_identity, verify_xi_identity)
-from matsep.certify import CERTIFIED, FAILED, LOWER_BOUND_ONLY, MAX_JACOBIAN_ENTRIES
+from matsep.certify import (CERTIFIED, FAILED, LOWER_BOUND_ONLY, MAX_JACOBIAN_ENTRIES,
+                            MAX_TRIALS)
 from helpers import bareiss_rank, certify_all_trials, rand_fraction
 
 
@@ -558,4 +559,18 @@ def test_an_oversize_jacobian_is_refused_before_any_sample(monkeypatch, l, n, na
     limit = f"exceeds the limit of {MAX_JACOBIAN_ENTRIES} entries"
     with pytest.raises(PreconditionError, match=limit):
         certify_dimension(param, 1, trials=1, seed=0)
+    assert calls == []
+
+
+def test_the_trial_limit_admits_its_count_and_refuses_one_more_before_any_sample(monkeypatch):
+    """A rank-one map into two coordinates never reaches its bound, so it
+    runs every trial: MAX_TRIALS of them, or none when one more is asked."""
+    p = Parameterization("diagonal", 2, 2, lambda ps: [ps[0], ps[0]])
+    calls = _counted_samples(monkeypatch)
+    cert = certify_dimension(p, 1, trials=MAX_TRIALS, seed=0)
+    assert (cert.verdict, cert.trials, len(calls)) == (CERTIFIED, MAX_TRIALS, MAX_TRIALS)
+    calls.clear()
+    with pytest.raises(PreconditionError,
+                       match=f"^{MAX_TRIALS + 1} trials exceed the limit of {MAX_TRIALS}$"):
+        certify_dimension(p, 1, trials=MAX_TRIALS + 1, seed=0)
     assert calls == []

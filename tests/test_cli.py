@@ -873,11 +873,15 @@ def _misshapen(data, rows):
        | st.lists(_ENTRIES, min_size=8, max_size=8), st.data())
 @example(["1" * 4400, 0, 0, 0, 0, 0, 0, 0], None)
 @example(["1/" + "2" * 4400, 0, 0, 0, 0, 0, 0, 0], None)
+@example(["1" * 5000, "1.5", 0, 0, 0, 0, 0, 0], None)
+@example([True, "x", 0, 0, 0, 0, 0, 0], None)
 @example([" 5 ", "-0012/0008", "0/7", "+3", 2**70, str(2**70), "6/4", "-0"], None)
 def test_document_parsers_agree_with_the_fraction_loader(entries, data):
     """The lr and left document parsers read every entry to the value the
     Fraction loader gives, and reject what it rejects with its message,
-    the first fault in reading order, misshapen rows and grids included."""
+    the first fault in reading order, misshapen rows and grids included:
+    a 5,000-digit string before "1.5" is reported for its digits, and
+    `true` before "x" as the entry that is not a string."""
     grids = _misshapen(data, [[entries[:2], entries[2:4]], [entries[4:6], entries[6:]]])
     _agrees_with_fraction_loader(lambda: _parse_tuple(grids, 2).matrices,
                                  lambda: matrices2_by_fractions(grids, 2))

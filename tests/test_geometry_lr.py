@@ -9,7 +9,7 @@ from matsep import (GroupElementLR, MatrixTupleLR, PhiImage, PreconditionError, 
                     common_directions, graph_member_upper, in_cc, in_cr, in_dc,
                     in_dr, is_stable_lr, m_c, m_matrix, m_r, nullcone_member_lr,
                     phi, phi_inverse, separated_lr, stack_rows)
-from matsep.geometry_lr import CC, CR, GAMMA, triangularizer_for_direction
+from matsep.geometry_lr import CC, CR, GAMMA, _upper_rows, triangularizer_for_direction
 from helpers import (rand_fraction, rand_group_lr, rand_nullcone_col_pattern,
                      rand_nullcone_row_pattern, rand_nullcone_triangular,
                      rand_tuple, rand_upper_tuple)
@@ -65,6 +65,29 @@ def test_non_stable_direction_spans_at_most_a_line():
         v = rep.common_direction
         images = [m.mul_vec(v) for m in A.matrices]
         assert stack_rows(images).rank() <= 1
+
+
+_SMALL_ENTRIES = st.integers(-2, 2) | st.fractions(-3, 3, max_denominator=3)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(_SMALL_ENTRIES, min_size=4, max_size=4), min_size=1, max_size=4),
+       st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any), st.booleans())
+def test_upper_rows_read_the_triangularized_tuple(quads, v, along_v):
+    """For an integer direction v, the integer rows of classify are the
+    entries a, b and d of the tuple moved by stability's triangularizer,
+    whether v is a common direction (then the tuple is upper) or not; the
+    small entries reach a zero first image and all-zero images."""
+    if along_v:   # every image on the line of the first matrix's image
+        quads = [[k * x for x in quads[0]] for k in (1, -2, 0, 3)[:len(quads)]]
+    A = MatrixTupleLR.from_entries(quads)
+    a, b, d, scale = _upper_rows(A, v)
+    moved = act_lr(triangularizer_for_direction(A, v), A).matrices
+    assert [(Fraction(x, q), Fraction(y, q), Fraction(z, q))
+            for x, y, z, q in zip(a, b, d, scale)] == [
+        (m.at(0, 0), m.at(0, 1), m.at(1, 1)) for m in moved]
+    if along_v:
+        assert all(m.at(1, 0) == 0 for m in moved)
 
 
 def test_irrational_common_direction_reported_without_witness():
@@ -259,7 +282,7 @@ def test_m_matrix_rank_reduces_to_second_block():
     zero = MatrixTupleLR.from_entries([[0, 0, 0, 0]] * n)
     second = rand_upper_tuple(rng, n)
     p = UpperPair(zero, second)
-    block = stack_rows([p.a2_vec(), p.b2_vec(), p.d2_vec()])
+    block = stack_rows(list(p.rows()[3:]))
     assert m_matrix(p).rank() == block.rank()
 
 

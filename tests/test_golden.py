@@ -44,7 +44,9 @@ C(40, 12) minors or the 20,881 generators at n = 28, a `separate` of a
 per side would be walked for a witness, an `invariants` value
 of about 4,400 digits, over the interpreter's int-to-str digit limit,
 or a `counts` generator count C(40000, 20000) or C(10**9, 5 * 10**8),
-past the 4,300 digits of a counts report, as JSON and as text);
+past the 4,300 digits of a counts report, as JSON and as text, or a
+`certify` of 10**9 trials of sat-cr, a claim below its rank bound that
+would run every one of them);
 an input error's is its one stderr line, with exit code 2 (among them a
 5,000-digit JSON integer and a document nested 100,000 brackets deep).
 Refusals and input errors come back within 2 s.
@@ -169,6 +171,8 @@ REFUSAL_CASES = [
      ["counts", "--n", "40000", "--l", "20000", "--format", "text"]),
     ("counts_n1000000000_l500000000_refusal.txt",
      ["counts", "--n", "1000000000", "--l", "500000000"]),
+    ("certify_n4_sat-cr_trials1000000000_refusal.txt",
+     ["certify", "--n", "4", "--claims", "sat-cr", "--trials", "1000000000"]),
 ]
 
 
