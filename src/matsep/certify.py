@@ -65,7 +65,7 @@ from functools import cached_property, partial
 from itertools import accumulate, islice
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .dual import jacobian_of
+from .dual import integer_rows, jacobian_of, seed_point
 from .errors import CertificationError, ChartSingularityError, PreconditionError
 from .matrix import RMatrix, adjugate, cofactor_det, grid_product as _gmul
 from .rational import rat
@@ -119,41 +119,40 @@ class Orbit:
     @cached_property
     def _chart_terms(self) -> list:
         """(base block, first output of it?, terms) per output block: each
-        chart column entry at the identity gains coef * M[i][j] for its
-        term (row, column, i, j, coef), M each of the block's matrices.  A
-        later output also carries its base block's first terms, negated."""
+        chart column entry at the identity gains coef * M[ij] for its term
+        (row, column, ij, coef), M each of the block's matrices, flattened.
+        A later output also carries its base block's first terms, negated."""
         nr, nc = self.shape
         terms, firsts = [], {}
         for src, left, right in self.blocks:
-            own = [(r * nc + j, col, c, j, coef) for col, r, c, coef in _tangents(left, nr)
+            own = [(r * nc + j, col, c * nc + j, coef) for col, r, c, coef in _tangents(left, nr)
                    for j in range(nc)]
-            own += [(i * nc + c, col, i, r, -coef) for col, r, c, coef in _tangents(right, nc)
-                    for i in range(nr)]
+            own += [(i * nc + c, col, i * nc + r, -coef)
+                    for col, r, c, coef in _tangents(right, nc) for i in range(nr)]
             first = firsts.setdefault(src, own)
             terms.append((src, first is own,
-                          own if first is own else own + [(*t[:4], -t[4]) for t in first]))
+                          own if first is own else own + [(*t[:3], -t[3]) for t in first]))
         return terms
 
     def identity_jacobian(self, at: Sequence[int]) -> RMatrix:
         """[dP | dL(X).P] at an integer point whose chart coordinates are
         0, each later output of a base block minus its first (see the
-        module docstring), with no chart evaluated."""
-        size = self.shape[0] * self.shape[1]
-        mats_of = self.base(at)
-        # fresh rows over scale 1, P being polynomial, zero in the chart columns
-        dp = jacobian_of(lambda ps: _flatten_mats(sum(self.base(ps), [])), at)._integer_rows()[0]
+        module docstring), with no chart evaluated: P runs once, on the
+        seeded duals, for both its integer values and dP."""
+        k, size = len(at), self.shape[0] * self.shape[1]
+        mats_of = self.base(seed_point(at))
+        values, dp, _ = integer_rows(_flatten_mats(sum(mats_of, [])), k)
         starts = list(accumulate((len(mats) * size for mats in mats_of), initial=0))
         rows = []
         for src, first, terms in self._chart_terms:
-            mats = mats_of[src]
-            block = (dp[starts[src]:starts[src + 1]] if first
-                     else [[0] * len(at) for _ in range(len(mats) * size)])
-            for t, m in enumerate(mats):
-                out = block[t * size:(t + 1) * size]
-                for row, col, i, j, coef in terms:
-                    out[row][col] += coef * m[i][j]
+            start, stop = starts[src], starts[src + 1]
+            block = dp[start:stop] if first else [[0] * k for _ in range(stop - start)]
+            for t in range(0, stop - start, size):
+                out, m = block[t:t + size], values[start + t:start + t + size]
+                for row, col, ij, coef in terms:
+                    out[row][col] += coef * m[ij]
             rows += block
-        return RMatrix.from_integer_rows(rows, len(at), [1] * len(rows))
+        return RMatrix.from_integer_rows(rows, k, [1] * len(rows))
 
 
 @dataclass(frozen=True)
@@ -225,8 +224,9 @@ def certify_dimension(param: Parameterization, claimed: int,
             f"exceeds the limit of {MAX_JACOBIAN_ENTRIES} entries")
     best, witness = -1, None
     group = set(param.group_coords)
+    rng = random.Random()
     for trial in range(trials):
-        rng = random.Random(seed * 1_000_003 + trial)
+        rng.seed(seed * 1_000_003 + trial)
         point = _sample_point(param, rng)
         at = [0 if i in group else x for i, x in enumerate(point)]
         jac = param.orbit.identity_jacobian(at) if param.orbit else jacobian(param, at)
@@ -244,8 +244,16 @@ def certify_dimension(param: Parameterization, claimed: int,
 
 
 def _sample_point(param: Parameterization, rng: random.Random) -> List[int]:
+    """The first of 100 draws off every chart singularity.  A coordinate is
+    getrandbits(6), redrawn while 41 or more, minus 20: randint(-20, 20)'s
+    draw, written down so that certificates rest on getrandbits alone."""
+    bits, count = rng.getrandbits, param.param_count
     for _ in range(100):
-        point = [rng.randint(-20, 20) for _ in range(param.param_count)]
+        point = []
+        while len(point) < count:
+            x = bits(6)
+            if x < 41:
+                point.append(x - 20)
         if all(guard(point) != 0 for guard in param.chart_guards):
             return point
     raise ChartSingularityError(f"{param.name}: all samples hit chart singularities")

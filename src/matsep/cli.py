@@ -29,8 +29,8 @@ from .certify import CERTIFIED, certify_builtin, verify_bracket_identity, verify
 from .errors import CertificationError, InputError, PreconditionError, ShapeError
 from .geometry_left import (graph_rank_left, is_stable_left, nullcone_member_left,
                             witness_curve_auto)
-from .geometry_lr import (GAMMA, UpperPair, classify_pair, classify_pair_any,
-                          graph_rank_upper, is_stable_lr, nullcone_member_lr, phi)
+from .geometry_lr import (GAMMA, UpperPair, classify_pair_any, graph_rank_upper,
+                          is_stable_lr, nullcone_member_lr, phi)
 from .invariants import (LeftMatrix, MatrixTupleLR, generator_count_lr,
                          generators_lr, invariant_dim_left, invariant_dim_lr,
                          lower_bound_left, lower_bound_lr, minor_column_sets,
@@ -252,9 +252,9 @@ def _phi(first, second) -> dict:
 
 
 def _classify(first, second) -> dict:
-    upper = first.is_upper() and second.is_upper()
-    flags = classify_pair(UpperPair(first, second)) if upper else classify_pair_any(first, second)
-    return {"flags": sorted(flags), "upper_input": upper}
+    # the union over every representative, so the pair as written does not matter
+    return {"flags": sorted(classify_pair_any(first, second)),
+            "upper_input": first.is_upper() and second.is_upper()}
 
 
 def _graph_lr(first, second) -> dict:

@@ -15,6 +15,11 @@ forms are not canonical: equality cross-multiplies, and the hash is
 taken of the form divided by its content.  `.value` and `.partials`
 read as reduced Fractions, the partials as the dense tuple.
 
+A dual is the record (n, d, q, nparams), a tuple subclass with no slots
+of its own, so an operator unpacks each operand once and builds its
+result in one constructor call.  It is a number, not a sequence to
+compare: it equals no tuple, and ordering it raises TypeError.
+
 A Jacobian row is then an integer vector over one denominator, so
 `jacobian_of` hands the partial numerators to `RMatrix.from_integer_rows`
 as the row's integer form; rank and det start from it, and the Fraction
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import ChartSingularityError, ShapeError
@@ -34,135 +40,132 @@ from .matrix import RMatrix
 from .rational import integer_form, rat
 
 _EMPTY: dict = {}
+_MIXED = "dual numbers with different parameter counts"
+_new = tuple.__new__
 
 
-class DualScalar:
-    __slots__ = ("nparams", "_n", "_d", "_q")
+class DualScalar(tuple):
+    """(n + sum d[i] e_i) / q in `nparams` parameters, stored as the tuple
+    (n, d, q, nparams), q > 0 and d free of zeros.  The dict is never
+    mutated afterwards, so duals may share it."""
 
-    def __init__(self, value, partials: Sequence[Fraction]):
+    __slots__ = ()
+
+    def __new__(cls, value, partials: Sequence[Fraction]):
         (n, *dense), q = integer_form([rat(value), *map(rat, partials)])
-        _set_nparams(self, len(dense))
-        _set_n(self, n)
-        _set_d(self, {i: p for i, p in enumerate(dense) if p})
-        _set_q(self, q)
+        return _new(cls, (n, {i: p for i, p in enumerate(dense) if p}, q, len(dense)))
 
-    def __setattr__(self, *_):
-        raise AttributeError("DualScalar is immutable")
+    nparams = property(itemgetter(3))
 
     @property
     def value(self) -> Fraction:
-        return Fraction(self._n, self._q)
+        return Fraction(self[0], self[2])
 
     @property
     def partials(self) -> tuple:
         """Dense tuple of partials, explicit zeros included."""
-        d, q = self._d, self._q
-        return tuple(Fraction(d.get(i, 0), q) for i in range(self.nparams))
+        _, d, q, k = self
+        return tuple(Fraction(d.get(i, 0), q) for i in range(k))
 
     @staticmethod
     def constant(value, nparams: int) -> "DualScalar":
         value = rat(value)
-        return _make(nparams, value.numerator, _EMPTY, value.denominator)
+        return _new(DualScalar, (value.numerator, _EMPTY, value.denominator, nparams))
 
     @staticmethod
     def variable(value, index: int, nparams: int) -> "DualScalar":
-        value = rat(value)
-        q = value.denominator
-        return _make(nparams, value.numerator, {index: q} if 0 <= index < nparams else _EMPTY, q)
+        n, q = rat(value).as_integer_ratio()
+        return _new(DualScalar, (n, {index: q} if 0 <= index < nparams else _EMPTY, q, nparams))
 
-    def __add__(self, other) -> "DualScalar":
-        return _sum(self, *_parts(other, self.nparams), 1)
+    def __add__(self, other, sign: int = 1) -> "DualScalar":
+        un, ud, uq, k = self
+        vn, vd, vq, kv = other if type(other) is DualScalar else _fields(other, k)
+        if kv != k:
+            raise ShapeError(_MIXED)
+        if uq == vq:
+            return _new(DualScalar, (un + sign * vn, _merge(ud, vd, 1, sign), uq, k))
+        g = gcd(uq, vq)
+        a, b = vq // g, sign * (uq // g)
+        return _new(DualScalar, (un * a + vn * b, _merge(ud, vd, a, b), uq * a, k))
 
     __radd__ = __add__
 
     def __neg__(self) -> "DualScalar":
-        return _make(self.nparams, -self._n, {i: -p for i, p in self._d.items()}, self._q)
+        n, d, q, k = self
+        return _new(DualScalar, (-n, {i: -p for i, p in d.items()}, q, k))
 
     def __sub__(self, other) -> "DualScalar":
-        return _sum(self, *_parts(other, self.nparams), -1)
+        return _add(self, other, -1)
 
     def __rsub__(self, other) -> "DualScalar":
         return -self + other
 
     def __mul__(self, other) -> "DualScalar":
-        vn, vd, vq = _parts(other, self.nparams)
-        un = self._n
+        un, ud, uq, k = self
+        vn, vd, vq, kv = other if type(other) is DualScalar else _fields(other, k)
+        if kv != k:
+            raise ShapeError(_MIXED)
         # (uv)' = u' v + u v'
-        return _make(self.nparams, un * vn, _merge(self._d, vd, vn, un), self._q * vq)
+        return _new(DualScalar, (un * vn, _merge(ud, vd, vn, un), uq * vq, k))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "DualScalar":
-        return _quotient(self.nparams, self._n, self._d, self._q, *_parts(other, self.nparams))
+        return _quotient(self, _fields(other, self[3]))
 
     def __rtruediv__(self, other) -> "DualScalar":
-        return _quotient(self.nparams, *_parts(other, self.nparams), self._n, self._d, self._q)
+        return _quotient(_fields(other, self[3]), self)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DualScalar):
-            d, e = self._d, other._d
-            a, b = other._q, self._q
-            return (self.nparams == other.nparams and d.keys() == e.keys()
-                    and self._n * a == other._n * b
-                    and all(p * a == e[i] * b for i, p in d.items()))
+            un, ud, uq, k = self
+            vn, vd, vq, kv = other
+            return (k == kv and ud.keys() == vd.keys() and un * vq == vn * uq
+                    and all(p * vq == vd[i] * uq for i, p in ud.items()))
         if isinstance(other, (int, Fraction)):
-            return not self._d and self._n * other.denominator == other.numerator * self._q
-        return NotImplemented
+            return not self[1] and self[0] * other.denominator == other.numerator * self[2]
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def _unordered(self, other):
+        raise TypeError("dual numbers are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    del _unordered
 
     def __hash__(self):
-        g = gcd(self._q, self._n, *self._d.values())
-        return hash((self._n // g, self._q // g, self.nparams,
-                     frozenset((i, p // g) for i, p in self._d.items())))
+        n, d, q, k = self
+        g = gcd(q, n, *d.values())
+        return hash((n // g, q // g, k, frozenset((i, p // g) for i, p in d.items())))
 
     def __repr__(self):
         return f"DualScalar({self.value}, {list(self.partials)})"
 
 
-_set_nparams = DualScalar.nparams.__set__
-_set_n = DualScalar._n.__set__
-_set_d = DualScalar._d.__set__
-_set_q = DualScalar._q.__set__
+_add = DualScalar.__add__
 
 
-def _make(nparams: int, n: int, d: dict, q: int) -> DualScalar:
-    """The dual (n + sum d[i] e_i) / q, for q > 0 and d free of zeros.
-    The dict is never mutated afterwards, so duals may share it."""
-    out = object.__new__(DualScalar)
-    _set_nparams(out, nparams)
-    _set_n(out, n)
-    _set_d(out, d)
-    _set_q(out, q)
-    return out
-
-
-def _parts(x, nparams: int) -> tuple:
-    """(value numerator, partial numerators, denominator) of a dual or a
-    rational constant."""
+def _fields(x, nparams: int) -> tuple:
+    """The stored fields (n, d, q, nparams) of a dual or a rational constant."""
     if isinstance(x, DualScalar):
-        if x.nparams != nparams:
-            raise ShapeError("dual numbers with different parameter counts")
-        return x._n, x._d, x._q
+        if x[3] != nparams:
+            raise ShapeError(_MIXED)
+        return x
     if type(x) is int:
-        return x, _EMPTY, 1
+        return x, _EMPTY, 1, nparams
     x = rat(x)
-    return x.numerator, _EMPTY, x.denominator
+    return x.numerator, _EMPTY, x.denominator, nparams
 
 
-def _sum(u: DualScalar, vn: int, vd: dict, vq: int, sign: int) -> DualScalar:
-    """u + sign * v, over the lcm of the two denominators."""
-    uq = u._q
-    if uq == vq:
-        return _make(u.nparams, u._n + sign * vn, _merge(u._d, vd, 1, sign), uq)
-    g = gcd(uq, vq)
-    a, b = vq // g, sign * (uq // g)
-    return _make(u.nparams, u._n * a + vn * b, _merge(u._d, vd, a, b), uq * a)
-
-
-def _quotient(nparams, un, ud, uq, vn, vd, vq) -> DualScalar:
+def _quotient(u: tuple, v: tuple) -> DualScalar:
     """u / v by (u'v - uv') / v^2 over the positive denominator uq vn^2."""
+    (un, ud, uq, k), (vn, vd, vq, _) = u, v
     if not vn:
         raise ZeroDivisionError("dual division by a scalar with zero value")
-    return _make(nparams, un * vn * vq, _merge(ud, vd, vn * vq, -un * vq), uq * vn * vn)
+    return _new(DualScalar, (un * vn * vq, _merge(ud, vd, vn * vq, -un * vq), uq * vn * vn, k))
 
 
 def _scaled(d: dict, c: int) -> dict:
@@ -195,12 +198,32 @@ def _seeded(point: Sequence) -> tuple:
     anything else by `rat`, and its duals x_i + e_i over x_i's denominator."""
     pt = [x if type(x) is int else rat(x) for x in point]
     k = len(pt)
-    return pt, [_make(k, x.numerator, {i: x.denominator}, x.denominator) for i, x in enumerate(pt)]
+    return pt, [_new(DualScalar, (x.numerator, {i: x.denominator}, x.denominator, k))
+                for i, x in enumerate(pt)]
 
 
 def seed_point(point: Sequence) -> list:
     """Duals for a parameter vector, one independent direction each."""
     return _seeded(point)[1]
+
+
+def integer_rows(outputs, nparams: int) -> tuple:
+    """(values, rows, scales) of a map's outputs, each a dual in `nparams`
+    parameters or a constant, read in one pass: output r's value
+    numerator (a constant as it is) and its row of partial numerators,
+    both over scales[r].  A polynomial map at an integer point has every
+    scale 1, so its values are its integer values."""
+    values, rows, scales = [], [], []
+    for out in outputs:
+        row, q = [0] * nparams, 1
+        if type(out) is DualScalar:
+            out, d, q, _ = out
+            for i, p in d.items():
+                row[i] = p
+        values.append(out)
+        rows.append(row)
+        scales.append(q)
+    return values, rows, scales
 
 
 def jacobian_of(evaluator: Callable, point: Sequence,
@@ -215,15 +238,5 @@ def jacobian_of(evaluator: Callable, point: Sequence,
     for guard in guards:
         if guard(pt) == 0:
             raise ChartSingularityError("chart denominator vanishes at the point")
-    k = len(pt)
-    rows, scales = [], []
-    for out in evaluator(seeds):
-        row = [0] * k
-        if isinstance(out, DualScalar):
-            for i, p in out._d.items():
-                row[i] = p
-            scales.append(out._q)
-        else:
-            scales.append(1)
-        rows.append(row)
-    return RMatrix.from_integer_rows(rows, k, scales)
+    _, rows, scales = integer_rows(evaluator(seeds), len(pt))
+    return RMatrix.from_integer_rows(rows, len(pt), scales)

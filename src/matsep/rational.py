@@ -45,8 +45,8 @@ def literal_parts(values: list) -> tuple:
     of a list of entries, each an int (not a bool) or a 'p' or 'p/q'
     literal: ASCII digits, an optional sign on p, q nonzero, surrounding
     whitespace stripped.  Read in one pass, in list order: raises
-    ValueError at the first entry that is neither, or whose digits int()
-    refuses."""
+    ValueError at the first entry that is neither, or that has a part of
+    more digits than the interpreter's int-to-str limit."""
     nums, dens = [], []
     for v in values:
         if isinstance(v, str):
@@ -54,11 +54,16 @@ def literal_parts(values: list) -> tuple:
             if m is None:
                 raise ValueError(f"not an exact rational literal: {v!r}")
             num, den = m.groups()
-            if den is None:
-                nums.append(int(num))
-                dens.append(1)
-                continue
-            p, q = int(num), int(den)
+            try:
+                if den is None:
+                    nums.append(int(num))
+                    dens.append(1)
+                    continue
+                p, q = int(num), int(den)
+            except ValueError:   # int() refuses only a part past the digit limit
+                raise ValueError(f"a string entry has a part of more than "
+                                 f"{sys.get_int_max_str_digits()} digits, "
+                                 "the interpreter's int-to-str digit limit") from None
             g = gcd(p, q)
             nums.append(p // g)
             dens.append(q // g)

@@ -25,6 +25,7 @@ import argparse
 import io
 import re
 import shutil
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import partial
@@ -481,8 +482,10 @@ def entry_by_fraction(value) -> Fraction:
             raise InputError(f"not an exact rational literal: {value!r}")
         try:
             num, den = int(m.group(1)), int(m.group(2) or 1)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        except ValueError:
+            raise InputError(f"a string entry has a part of more than "
+                             f"{sys.get_int_max_str_digits()} digits, "
+                             "the interpreter's int-to-str digit limit") from None
         return Fraction(num, den)
     raise InputError(f"entries must be integers or 'p/q' strings, got {value!r}")
 

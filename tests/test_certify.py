@@ -513,6 +513,18 @@ def test_a_stopped_budget_never_draws_a_later_singular_trial():
         CERTIFIED, 2, tuple(map(Fraction, first)))
 
 
+def test_sample_point_draws_what_randint_draws():
+    """The written-down draw is randint(-20, 20)'s, for seeds 0-999 and
+    1 to 60 coordinates: a point of c coordinates is the first c draws."""
+    from matsep.certify import _sample_point
+    params = [Parameterization("free", c, c, list) for c in range(1, 61)]
+    for s in range(1000):
+        rng = Random(s)
+        want = [rng.randint(-20, 20) for _ in range(60)]
+        for c, param in enumerate(params, 1):
+            assert _sample_point(param, Random(s)) == want[:c], (s, c)
+
+
 def _counted_samples(monkeypatch) -> list:
     import matsep.certify as certify
     calls, draw = [], certify._sample_point

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from math import prod
 from random import Random
@@ -116,6 +117,44 @@ def test_dual_is_immutable():
     for name in ("value", "partials", "nparams", "other"):
         with pytest.raises(AttributeError):
             setattr(x, name, 0)
+
+
+def test_ordering_a_dual_raises():
+    x = DualScalar.variable(Fraction(5, 2), 0, 2)
+    for other in (x, x * 3 / 3, x + 1, 0, 7, Fraction(1, 2), tuple(x), (), (x,)):
+        for order in (operator.lt, operator.le, operator.gt, operator.ge):
+            for left, right in ((x, other), (other, x)):
+                with pytest.raises(TypeError):
+                    order(left, right)
+
+
+def test_inequality_agrees_with_equality_across_stored_forms():
+    x = DualScalar.variable(Fraction(5, 2), 0, 3)
+    y = DualScalar.variable(-7, 1, 3)
+    three = (x - x + 3) / 3 * 3
+    forms = [x, x * 3 / 3, x / 2 * 2, (x * y) / y, 2 * x - x, x + 1, y, three,
+             DualScalar.constant(3, 3), DualScalar.variable(Fraction(5, 2), 0, 2)]
+    others = forms + [3, Fraction(3), Fraction(5, 2), 0, "x", None, [], (3,), tuple(three)]
+    unequal = 0
+    for f in forms:
+        for o in others:
+            for left, right in ((f, o), (o, f)):
+                assert (left != right) is (not (left == right))
+                unequal += left != right
+    assert 0 < unequal < 2 * len(forms) * len(others)
+    assert three == 3 and not three != 3 and three != x and not x != x * 3 / 3
+
+
+def test_a_dual_equals_no_tuple():
+    """A dual is stored as a tuple, but is no sequence: neither the tuple
+    of its fields nor any other tuple is equal to it."""
+    for x in (DualScalar.variable(Fraction(5, 2), 0, 3) * 4, DualScalar.constant(0, 2),
+              DualScalar(1, ())):
+        fields = tuple(x)
+        for t in (fields, (), (x,), (fields[0],), fields[:3]):
+            assert type(t) is tuple
+            assert x != t and t != x and not x == t and not t == x
+        assert x not in [fields] and [x] != [fields]
 
 
 def test_mixed_parameter_counts_raise():
@@ -243,8 +282,9 @@ def test_non_canonical_equal_forms_compare_and_hash_equal():
         assert f == x and x == f
         assert hash(f) == hash(x)
     assert len(set(forms + [x])) == 1
-    # the stored denominators differ although the duals are equal
-    assert len({f._q for f in forms}) > 1
+    # the stored denominators, field q of (n, d, q, nparams), differ
+    # although the duals are equal
+    assert len({f[2] for f in forms}) > 1
     assert (x * 3 / 3) != x + 1 and (x * 3 / 3) != y
     one = (x - x + 3) / 3
     assert one == 1 and one == Fraction(1) and one != Fraction(1, 2)
@@ -255,7 +295,7 @@ def test_value_and_partials_are_reduced_fractions():
     x = DualScalar.variable(Fraction(3, 4), 0, 2)
     y = DualScalar.variable(6, 1, 2)
     z = x * 6 / 4 * y / y
-    assert z._q % 2 == 0 and z._q > 8
+    assert z[2] % 2 == 0 and z[2] > 8
     assert z.value == Fraction(9, 8)
     assert (z.value.numerator, z.value.denominator) == (9, 8)
     assert z.partials == (Fraction(3, 2), Fraction(0))

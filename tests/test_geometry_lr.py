@@ -2,13 +2,14 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from matsep import (GroupElementLR, MatrixTupleLR, PhiImage, PreconditionError, RMatrix,
                     UpperPair, act_lr, classify_pair, classify_pair_any,
                     common_directions, graph_member_upper, in_cc, in_cr, in_dc,
                     in_dr, is_stable_lr, m_c, m_matrix, m_r, nullcone_member_lr,
                     phi, phi_inverse, separated_lr, stack_rows)
+from matsep.cli import _classify
 from matsep.geometry_lr import CC, CR, GAMMA, _upper_rows, triangularizer_for_direction
 from helpers import (rand_fraction, rand_group_lr, rand_nullcone_col_pattern,
                      rand_nullcone_row_pattern, rand_nullcone_triangular,
@@ -556,6 +557,24 @@ def test_classify_pair_any_matches_representatives_one_by_one(pair):
     flags = classify_pair_any(A, B)
     assert flags == _flags_any_one_by_one(A, B)
     assert flags
+
+
+@settings(max_examples=60)
+@given(_translated_non_separated_pairs(), st.booleans(), _sl2(), _sl2(), _sl2(), _sl2())
+def test_classify_does_not_depend_on_how_the_pair_is_written(pair, upper, g1, g2, h1, h2):
+    """`classify` gives a pair, written upper or not, the flags it gives
+    the pair with each side moved by its own SL2 x SL2 element.  Sides that
+    admit every direction (they take the fallback directions) and sides
+    with no rational direction are left out."""
+    A, B = pair
+    dirs = [common_directions(X) for X in pair]
+    assume(all(dirs))
+    if upper:
+        A, B = (act_lr(triangularizer_for_direction(X, d[0]), X) for X, d in zip(pair, dirs))
+    flags = _classify(A, B)
+    assert flags["upper_input"] == (A.is_upper() and B.is_upper())
+    moved = act_lr(GroupElementLR(g1, g2), A), act_lr(GroupElementLR(h1, h2), B)
+    assert _classify(*moved)["flags"] == flags["flags"]
 
 
 def test_classify_pair_any_builds_no_representative(monkeypatch):

@@ -35,7 +35,11 @@ full-width digit, "1.5" and `true`), so ranks,
 minors, witness points, directions and verdicts are pinned, not
 re-derived.  A 12 x 40 left orbit pair, recorded when left pairs were
 first decided from one elimination per side, is not separated, and its
-report comes back within 2 s.  Document commands run from tests/golden/,
+report comes back within 2 s.  An upper pair with two rational
+directions per side, and the same pair moved by an SL2 x SL2 element per
+side, were recorded once upper pairs took the union over their
+representatives like every other pair: their `classify` flags agree.
+Document commands run from tests/golden/,
 so the report echoes each document's bare file name.  A refusal's
 golden file is its one stderr line, with exit code 3 and no report (a
 certify Jacobian, an `invariants` report of more values than the limit,
@@ -48,7 +52,8 @@ past the 4,300 digits of a counts report, as JSON and as text, or a
 `certify` of 10**9 trials of sat-cr, a claim below its rank bound that
 would run every one of them);
 an input error's is its one stderr line, with exit code 2 (among them a
-5,000-digit JSON integer and a document nested 100,000 brackets deep).
+5,000-digit JSON integer, the same digits as a string entry and as the
+denominator of one, and a document nested 100,000 brackets deep).
 Refusals and input errors come back within 2 s.
 """
 
@@ -123,6 +128,8 @@ DOCUMENT_CASES = [
     ("graph_conjugated_n5.txt", ["graph", "lr_conjugated_n5.json"]),
     ("classify_conjugated_double_fallback_n5.txt",
      ["classify", "lr_conjugated_double_fallback_n5.json"]),
+    ("classify_lr_two_directions_upper_n2.txt", ["classify", "lr_two_directions_upper_n2.json"]),
+    ("classify_lr_two_directions_moved_n2.txt", ["classify", "lr_two_directions_moved_n2.json"]),
     ("curve_left_l2_n4.txt", ["curve", "curve_left_l2_n4.json"]),
     ("curve_left_l3_second_n5.txt", ["curve", "curve_left_l3_second_n5.json"]),
     ("curve_left_l3_zero_second_n5.txt",
@@ -148,6 +155,10 @@ INPUT_ERROR_CASES = [
     ("graph_grammar_reject_true_l2_n3.txt", ["graph", "grammar_reject_true_l2_n3.json"]),
     ("invariants_lr_tuple_5000_digit_integer_n1.txt",
      ["invariants", "lr_tuple_5000_digit_integer_n1.json"]),
+    ("invariants_lr_tuple_5000_digit_string_n1.txt",
+     ["invariants", "lr_tuple_5000_digit_string_n1.json"]),
+    ("invariants_lr_tuple_5000_digit_denominator_string_n1.txt",
+     ["invariants", "lr_tuple_5000_digit_denominator_string_n1.json"]),
     ("invariants_lr_tuple_nested_100000_deep.txt",
      ["invariants", "lr_tuple_nested_100000_deep.json"]),
 ]
