@@ -4,17 +4,47 @@ Every dimension claim is backed by an explicit rational parameterization
 of the component.  The exact Jacobian of the parameterization at a
 random integer point lower-bounds the dimension of the image closure (a
 rank-r differential forces an r-dimensional image), so achieving the
-claimed rank certifies the dimension from below; matching the claimed
-value is recorded as CERTIFIED.  A computed rank exceeding the claim is
-impossible for a correct parameterization and raises immediately.
+claimed rank certifies the dimension from below, and exactly where the
+claim is also a proven bound on the rank, as for every builtin claim
+(below); matching the claimed value is recorded as CERTIFIED.  A
+computed rank exceeding the claim is impossible for a correct
+parameterization and raises immediately.
 
 Trials draw integer coordinates in [-20, 20] from a generator seeded by
 (seed, trial index), so every certificate is reproducible from its seed
 and recorded witness point.  `trials` is a budget: no rank exceeds
-min(rows, cols) of the Jacobian, the same shape in every trial, so the
-trials stop once a rank reaches it; no later trial could change the
-certificate or raise (a claim below it runs them all), save one whose
-samples all hit a chart singularity, which is then never drawn.
+min(rows, cols) of the Jacobian, the same shape in every trial, nor the
+parameterization's `rank_bound` when it declares one (a rank above it
+raises, as a rank above the claim does), so the trials stop once a rank
+reaches the least of the three; no later trial could change the
+certificate or raise (a map below its bound runs them all), save one
+whose samples all hit a chart singularity, which is then never drawn.
+
+Every builtin claim declares its claimed dimension as `rank_bound`, and
+that bound is proven, not sampled, so for a builtin claim `CERTIFIED`
+means dim = claim.  Six builtins have exactly as many parameters as
+their claim, so no rank exceeds it.  The other five (`sat-cr`, `sat-cc`,
+`sat-cr-cc`, `gamma-sat-cr`, `gamma-cr`) have more, and their bound
+rests on m = params - claim polynomial vector fields K_1(p), ..., K_m(p)
+in the kernel of J(p), the Jacobian at the chart identity of the
+parameter point p (`tests/test_rank_bounds.py` checks J(p).K(p) = 0 as
+an exact polynomial identity at n = 4 to 7, and rank K = m at one
+integer point).  The fields are the symmetries of each base map: an
+upper-triangular (Borel) tangent E_00 - E_11 or E_01 of a chart, moved
+into the base parameters (lambda and mu absorb the diagonal scalings),
+and for the span pattern the change of basis u -> G u, c -> c G^-1 of
+the three spanning vectors, G in GL3.  For `sat-cr`, E_01 acting on
+A = [[a, b], [0, lambda d']] from the left adds lambda d' to b, so the
+field with that chart coordinate 1 and db = -lambda d' is in the
+kernel; E_00 - E_11 from the left is undone by (da, db, dlambda) =
+(-a, -b, +lambda), which leaves A' = [[lambda a, b'], [0, d']] fixed.
+A nonzero m x m minor of K at one point is a nonzero polynomial, so
+rank K(p) = m, and rank J(p) <= claim, off a proper Zariski-closed set;
+the points of rank above the claim form a Zariski-open set, which must
+then be empty, since it would meet that dense set.  So rank J(p) <= claim at every p, at every chart point
+too (the rank there is the rank at the identity, below), and over a
+field of characteristic 0 the image closure has dimension the generic
+rank: a trial that reaches the claim proves dim = claim.
 
 The saturations G.C and graph closures {(A, g.A)} are the grouped
 claims, each declared once as an `Orbit`: a base map P(p), free of the
@@ -59,7 +89,7 @@ with the family's sizes ((n,) or (l, n)), the factory after the name.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, islice
@@ -81,7 +111,7 @@ FAILED = "FAILED"
 # than run out of memory.  Every builtin claim up to n = 100 and up to
 # (l, n) = (10, 40) stays below it.
 MAX_JACOBIAN_ENTRIES = 4_000_000
-# A claim below its rank bound runs every trial, about 0.5 ms each at
+# A map below its rank bound runs every trial, about 0.5 ms each at
 # n = 4 and more at larger n, so more trials than this are refused.
 MAX_TRIALS = 100
 
@@ -168,6 +198,9 @@ class Parameterization:
     and t = 0 the identity, where `certify_dimension` takes each rank
     (see the module docstring): from the `orbit`, which the builtin
     grouped claims derive all else from, or else from the evaluator.
+
+    `rank_bound`, when given, is the largest rank the Jacobian takes at
+    any point; the builtin claims declare their claimed dimension.
     """
 
     name: str
@@ -177,6 +210,7 @@ class Parameterization:
     chart_guards: Tuple[Callable[[Sequence], Fraction], ...] = ()
     group_coords: Tuple[int, ...] = ()
     orbit: Optional[Orbit] = None
+    rank_bound: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -206,7 +240,11 @@ def jacobian(param: Parameterization, point: Sequence) -> RMatrix:
 def certify_dimension(param: Parameterization, claimed: int,
                       trials: int = 5, seed: int = 0) -> DimensionCertificate:
     """Maximize the Jacobian rank over at most `trials` random integer
-    sample points, stopping at min(rows, cols) (see the module docstring).
+    sample points, stopping at min(rows, cols, rank_bound) (see the
+    module docstring).  A rank above the claim or above the declared
+    `rank_bound` raises CertificationError.  CERTIFIED proves dim >= claim,
+    and dim = claim when the claim is a proven `rank_bound`, as for every
+    builtin claim.
 
     Each rank is taken at the sample moved to the identity of its group
     charts, where it is the same (see the module docstring); the
@@ -222,7 +260,7 @@ def certify_dimension(param: Parameterization, claimed: int,
         raise PreconditionError(
             f"{param.name}: a {param.output_count} x {param.param_count} Jacobian "
             f"exceeds the limit of {MAX_JACOBIAN_ENTRIES} entries")
-    best, witness = -1, None
+    best, witness, cap = -1, None, param.rank_bound
     group = set(param.group_coords)
     rng = random.Random()
     for trial in range(trials):
@@ -235,9 +273,12 @@ def certify_dimension(param: Parameterization, claimed: int,
             raise CertificationError(
                 f"{param.name}: rank {rank} exceeds claimed dimension {claimed}; "
                 "the parameterization does not land in the claimed component")
+        if cap is not None and rank > cap:
+            raise CertificationError(
+                f"{param.name}: rank {rank} exceeds its declared rank bound {cap}")
         if rank > best:
             best, witness = rank, tuple(map(Fraction, point))
-        if best == min(jac.rows, jac.cols):
+        if best == min(jac.rows, jac.cols, jac.cols if cap is None else cap):
             break
     verdict = CERTIFIED if best == claimed else LOWER_BOUND_ONLY if best > 0 else FAILED
     return DimensionCertificate(param.name, claimed, best, trials, witness, verdict)
@@ -494,12 +535,14 @@ def builtin_claims(n: Optional[int] = None, l: Optional[int] = None) -> List[Cla
 
 def builtin_parameterization(name: str, n: Optional[int] = None,
                              l: Optional[int] = None) -> Parameterization:
+    """The claim's parameterization, its `rank_bound` the claimed
+    dimension (proven in the module docstring)."""
     if n is None:
         raise PreconditionError("n is required")
     rows, sizes = _family(n, l)
-    for row_name, _, _, build in rows:
+    for row_name, dim, _, build in rows:
         if row_name == name:
-            return build(name, *sizes)
+            return replace(build(name, *sizes), rank_bound=dim(*sizes))
     family = "2x2" if l is None else "left"
     raise PreconditionError(f"unknown {family} family claim {name!r}")
 

@@ -144,6 +144,10 @@ class DualScalar(tuple):
     def __repr__(self):
         return f"DualScalar({self.value}, {list(self.partials)})"
 
+    def __reduce__(self):
+        """Copies and pickles rebuild the stored fields as they are."""
+        return _new, (DualScalar, tuple(self))
+
 
 _add = DualScalar.__add__
 

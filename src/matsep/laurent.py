@@ -111,6 +111,9 @@ class LaurentPoly(TermPoly):
         object.__setattr__(p, "terms", terms)
         return p
 
+    def __reduce__(self):
+        return LaurentPoly, (self.terms,)
+
     @staticmethod
     def const(value) -> "LaurentPoly":
         return LaurentPoly({0: rat(value)})
@@ -147,6 +150,10 @@ class LaurentMatrix:
 
     def __setattr__(self, *_):
         raise AttributeError("LaurentMatrix is immutable")
+
+    def __reduce__(self):
+        """Copies and pickles rebuild the stored grids and scale."""
+        return LaurentMatrix.from_grids, (self.rows, self.cols, self.grids, self.scale)
 
     @staticmethod
     def from_grids(rows: int, cols: int, grids: Dict[int, Sequence[int]],

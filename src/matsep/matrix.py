@@ -52,6 +52,10 @@ class RMatrix:
     def __setattr__(self, *_):
         raise AttributeError("RMatrix is immutable")
 
+    def __reduce__(self):
+        """Copies and pickles rebuild the integer rows and their scales."""
+        return RMatrix.from_integer_rows, (self._nums, self.cols, self._scales)
+
     # -- construction ---------------------------------------------------
 
     @staticmethod

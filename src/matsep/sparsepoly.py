@@ -43,6 +43,9 @@ class SparsePoly(TermPoly):
     def _ring(self):
         return self.variables
 
+    def __reduce__(self):
+        return SparsePoly, (self.variables, self.terms)
+
     # -- construction ---------------------------------------------------
 
     @staticmethod

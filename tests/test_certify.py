@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -546,14 +547,51 @@ def test_a_first_trial_at_the_rank_bound_draws_one_sample(monkeypatch, l, n, nam
     assert (cert.verdict, cert.trials, calls) == (CERTIFIED, 5, [name])
 
 
-def test_a_saturation_at_its_claim_below_the_bound_draws_every_trial(monkeypatch):
-    """sat-cr at n = 4 reaches its claim 21 in trial 1, below the bound
-    min(32, 29); the later trials still run, each able to exceed the claim."""
-    param = builtin_parameterization("sat-cr", n=4)
-    assert certify_all_trials(param, 21, trials=1).achieved_rank == 21
+@pytest.mark.parametrize("l,n", _BUDGET_SIZES)
+def test_every_builtin_claim_draws_one_sample(monkeypatch, l, n):
+    """Each builtin claim declares its proven claim as its rank bound
+    (tests/test_rank_bounds.py), so it stops at its first trial, which
+    reaches the claim, for seeds 0-4: the saturations included, whose
+    claim is below min(rows, cols)."""
     calls = _counted_samples(monkeypatch)
-    cert = certify_dimension(param, 21, trials=5, seed=0)
-    assert (cert.verdict, len(calls)) == (CERTIFIED, 5)
+    for row in builtin_claims(n, l):
+        param = builtin_parameterization(row.name, n, l)
+        for seed in range(5):
+            calls.clear()
+            cert = certify_dimension(param, row.claimed, trials=5, seed=seed)
+            assert (cert.verdict, cert.trials, calls) == (CERTIFIED, 5, [row.name]), (
+                row.name, seed)
+
+
+def test_a_declared_rank_bound_stops_the_trials(monkeypatch):
+    """A rank-two map into three coordinates stops once a rank reaches its
+    declared bound 2, below min(3, 3); undeclared, it runs every trial."""
+    expected = certify_all_trials(_DEFICIENT, 2, trials=5, seed=0)
+    calls = _counted_samples(monkeypatch)
+    assert certify_dimension(_DEFICIENT, 2, trials=5, seed=0) == expected
+    assert len(calls) == 5
+    calls.clear()
+    bounded = replace(_DEFICIENT, rank_bound=2)
+    assert certify_dimension(bounded, 2, trials=5, seed=0) == expected
+    assert len(calls) == 1
+    calls.clear()
+    cert = certify_dimension(bounded, 3, trials=5, seed=0)
+    assert (cert.verdict, cert.achieved_rank, len(calls)) == (LOWER_BOUND_ONLY, 2, 1)
+
+
+def test_a_rank_above_the_declared_bound_raises(monkeypatch):
+    """A rank-two map that declares rank bound 1 raises at its first trial,
+    whatever the claim."""
+    calls = _counted_samples(monkeypatch)
+    wrong = replace(_LINEAR, rank_bound=1)
+    for claimed in (2, 3):
+        calls.clear()
+        with pytest.raises(CertificationError,
+                           match="^linear: rank 2 exceeds its declared rank bound 1$"):
+            certify_dimension(wrong, claimed, trials=5, seed=0)
+        assert len(calls) == 1
+    with pytest.raises(CertificationError, match="exceeds claimed dimension 1"):
+        certify_dimension(wrong, 1, trials=5, seed=0)
 
 
 @pytest.mark.parametrize("l,n", [(None, 100), (10, 40)])
