@@ -12,13 +12,16 @@ parameterization and raises immediately.
 
 Trials draw integer coordinates in [-20, 20] from a generator seeded by
 (seed, trial index), so every certificate is reproducible from its seed
-and recorded witness point.  `trials` is a budget: no rank exceeds
-min(rows, cols) of the Jacobian, the same shape in every trial, nor the
-parameterization's `rank_bound` when it declares one (a rank above it
-raises, as a rank above the claim does), so the trials stop once a rank
-reaches the least of the three; no later trial could change the
-certificate or raise (a map below its bound runs them all), save one
-whose samples all hit a chart singularity, which is then never drawn.
+and recorded witness point, the sampled ints.  A seed is 0 or more:
+`random` seeds from the absolute value of an int, so a negative seed
+would repeat the certificates of its positive twin.  `trials` is a
+budget: no rank exceeds min(rows, cols) of the Jacobian, the same shape
+in every trial, nor the parameterization's `rank_bound` when it declares
+one (a rank above it raises, as a rank above the claim does), so the
+trials stop once a rank reaches the least of the three; no later trial
+could change the certificate or raise (a map below its bound runs them
+all), save one whose samples all hit a chart singularity, which is then
+never drawn.
 
 Every builtin claim declares its claimed dimension as `rank_bound`, and
 that bound is proven, not sampled, so for a builtin claim `CERTIFIED`
@@ -84,6 +87,8 @@ modular shortcut.
 Each builtin claim is one row of `_LR_CLAIMS` or `_LEFT_CLAIMS`: its name,
 claimed dimension, description and parameterization factory, each called
 with the family's sizes ((n,) or (l, n)), the factory after the name.
+Each (name, n, l) is declared once per process, its `Orbit` tangent
+table with it, and shared by every later call.
 """
 
 from __future__ import annotations
@@ -91,7 +96,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate, islice
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -219,7 +224,7 @@ class DimensionCertificate:
     claimed: int
     achieved_rank: int
     trials: int
-    witness_point: Optional[Tuple[Fraction, ...]]
+    witness_point: Optional[Tuple[int, ...]]
     verdict: str
 
 
@@ -248,23 +253,26 @@ def certify_dimension(param: Parameterization, claimed: int,
 
     Each rank is taken at the sample moved to the identity of its group
     charts, where it is the same (see the module docstring); the
-    witness is the sample itself.  A Jacobian of more than
-    MAX_JACOBIAN_ENTRIES entries, or more than MAX_TRIALS trials, is
-    refused before any sample.
+    witness is the sample itself, as ints.  A Jacobian of more than
+    MAX_JACOBIAN_ENTRIES entries, more than MAX_TRIALS trials or a
+    negative seed is refused before any sample.
     """
     if trials < 1:
         raise PreconditionError("at least one trial is required")
     if trials > MAX_TRIALS:
         raise PreconditionError(f"{trials} trials exceed the limit of {MAX_TRIALS}")
+    if seed < 0:
+        raise PreconditionError(f"a seed must be 0 or more, got {seed}")
     if param.output_count * param.param_count > MAX_JACOBIAN_ENTRIES:
         raise PreconditionError(
             f"{param.name}: a {param.output_count} x {param.param_count} Jacobian "
             f"exceeds the limit of {MAX_JACOBIAN_ENTRIES} entries")
     best, witness, cap = -1, None, param.rank_bound
     group = set(param.group_coords)
-    rng = random.Random()
+    rng = random.Random(seed * 1_000_003)
     for trial in range(trials):
-        rng.seed(seed * 1_000_003 + trial)
+        if trial:
+            rng.seed(seed * 1_000_003 + trial)
         point = _sample_point(param, rng)
         at = [0 if i in group else x for i, x in enumerate(point)]
         jac = param.orbit.identity_jacobian(at) if param.orbit else jacobian(param, at)
@@ -277,7 +285,7 @@ def certify_dimension(param: Parameterization, claimed: int,
             raise CertificationError(
                 f"{param.name}: rank {rank} exceeds its declared rank bound {cap}")
         if rank > best:
-            best, witness = rank, tuple(map(Fraction, point))
+            best, witness = rank, tuple(point)
         if best == min(jac.rows, jac.cols, jac.cols if cap is None else cap):
             break
     verdict = CERTIFIED if best == claimed else LOWER_BOUND_ONLY if best > 0 else FAILED
@@ -536,9 +544,16 @@ def builtin_claims(n: Optional[int] = None, l: Optional[int] = None) -> List[Cla
 def builtin_parameterization(name: str, n: Optional[int] = None,
                              l: Optional[int] = None) -> Parameterization:
     """The claim's parameterization, its `rank_bound` the claimed
-    dimension (proven in the module docstring)."""
+    dimension (proven in the module docstring), declared once per
+    process: a repeated call returns the same object."""
     if n is None:
         raise PreconditionError("n is required")
+    return _declared(name, n, l)
+
+
+# typed: 4, 4.0 and True are different sizes, each declared as it is given
+@lru_cache(maxsize=64, typed=True)
+def _declared(name: str, n: int, l: Optional[int]) -> Parameterization:
     rows, sizes = _family(n, l)
     for row_name, dim, _, build in rows:
         if row_name == name:
@@ -558,11 +573,8 @@ def certify_builtin(n: Optional[int] = None, l: Optional[int] = None,
         if unknown:
             raise PreconditionError(f"unknown claim names: {sorted(unknown)}")
         rows = [r for r in rows if r.name in wanted]
-    out = []
-    for row in rows:
-        param = builtin_parameterization(row.name, n, l)
-        out.append(certify_dimension(param, row.claimed, trials, seed))
-    return out
+    return [certify_dimension(_declared(row.name, n, l), row.claimed, trials, seed)
+            for row in rows]
 
 
 # -- symbolic identity oracle -------------------------------------------------

@@ -195,19 +195,16 @@ def _witness_json(report):
 # `invariants` refuses, before evaluating any value, a report of more
 # values than this: about 3.5 MB of JSON, under 0.5 s for an lr-tuple and
 # about 0.6 s as a process for the 18,564 minors of a 12 x 18 left
-# matrix, with Python 3.11 on a shared VM.  `separate` refuses a left pair
-# with more maximal minors per side only before it walks them for a
-# witness (two sides of rank l with different row spaces); every other
-# left pair is decided from one elimination per side, at any size.  Every
-# golden and benchmark input holds at most 70.
+# matrix, with Python 3.11 on a shared VM.  Every golden and benchmark
+# input holds at most 70.  (`separate` on a left pair bounds its own walk
+# for a witness: `separation.MAX_COMPARED_MINORS`.)
 MAX_REPORT_VALUES = 20_000
 
 
-def _require_report_size(count: int, holder: str, values: str,
-                         limited: str = "reported values") -> None:
+def _require_report_size(count: int, holder: str, values: str) -> None:
     if count > MAX_REPORT_VALUES:
         raise PreconditionError(f"{holder} has {count} {values}, more than the limit of "
-                                f"{MAX_REPORT_VALUES} {limited}")
+                                f"{MAX_REPORT_VALUES} reported values")
 
 
 def _invariants_lr(tup) -> dict:
@@ -227,9 +224,7 @@ def _invariants_left(A) -> dict:
 
 
 def _separate_left(first, second) -> dict:
-    return _witness_json(separated_left(first, second, lambda: _require_report_size(
-        comb(first.n, first.l), f"a {first.l} x {first.n} left pair",
-        "maximal minors per side", "compared values")))
+    return _witness_json(separated_left(first, second))
 
 
 def _stability_lr(tup) -> dict:

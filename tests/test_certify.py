@@ -624,3 +624,83 @@ def test_the_trial_limit_admits_its_count_and_refuses_one_more_before_any_sample
                        match=f"^{MAX_TRIALS + 1} trials exceed the limit of {MAX_TRIALS}$"):
         certify_dimension(p, 1, trials=MAX_TRIALS + 1, seed=0)
     assert calls == []
+
+
+# -- one declaration per claim and size -------------------------------------------
+
+_BENCH_SIZES = [(None, 4), (None, 5), (None, 6), (3, 5), (4, 6), (4, 8)]
+
+
+def test_certify_builtin_gives_the_same_certificates_cold_and_warm():
+    """Every builtin claim at the benchmark's sizes, seeds 0-4: declared
+    afresh, then from the per-process declarations, the certificates are
+    equal to each other and to the all-trials loop's."""
+    import matsep.certify as certify
+    certify._declared.cache_clear()
+    cold = {(l, n, seed): certify_builtin(n, l, seed=seed)
+            for l, n in _BENCH_SIZES for seed in range(5)}
+    misses = certify._declared.cache_info().misses
+    assert misses == sum(len(builtin_claims(n, l)) for l, n in _BENCH_SIZES)
+    warm = {key: certify_builtin(key[1], key[0], seed=key[2]) for key in cold}
+    assert certify._declared.cache_info().misses == misses
+    assert warm == cold
+    for (l, n, seed), certs in cold.items():
+        assert certs == [certify_all_trials(builtin_parameterization(row.name, n, l),
+                                            row.claimed, 5, seed)
+                         for row in builtin_claims(n, l)]
+
+
+def test_a_claim_is_declared_once_per_name_and_size():
+    gamma4 = builtin_parameterization("gamma", 4)
+    assert builtin_parameterization("gamma", n=4) is gamma4
+    assert builtin_parameterization("gamma", 4, None) is gamma4
+    assert builtin_parameterization("gamma", 5) is not gamma4
+    assert builtin_parameterization("sat-cr", 4) is not gamma4
+    left = builtin_parameterization("z-left", 4, 3)
+    assert builtin_parameterization("z-left", l=3, n=4) is left
+    assert builtin_parameterization("z-left", 5, 3) is not left
+    assert builtin_parameterization("z-left", 4, 2) is not left
+    assert gamma4.rank_bound == 4 * 4 + 6 and left.rank_bound == 3 * 4 + 3 * 3 - 2
+
+
+def test_a_float_or_bool_size_is_never_served_from_an_int_key():
+    """4.0 == 4 and True == 1 hash alike, but once the int size is
+    declared, the float or bool is declared as it is given, not served
+    the int's declaration."""
+    for name, n, l, other in (("cr-cc", 4, None, (4.0, None)), ("gamma", 1, None, (True, None)),
+                              ("gamma-left", 2, 2, (2, True)), ("z-left", 3, 2, (3, 2.0))):
+        declared = builtin_parameterization(name, n, l)
+        assert builtin_parameterization(name, *other) is not declared, (name, other)
+        assert builtin_parameterization(name, n, l) is declared
+    assert type(builtin_parameterization("cr-cc", 4.0).param_count) is float
+    builtin_parameterization("gamma", 4)
+    with pytest.raises(TypeError):
+        builtin_parameterization("gamma", 4.0)
+
+
+@pytest.mark.parametrize("l,n", _BENCH_SIZES)
+def test_every_witness_point_holds_the_sampled_ints(l, n):
+    """Each coordinate is an int, equal to the Fraction the all-trials
+    loop records for the same sample, so every report writes it alike."""
+    for row in builtin_claims(n, l):
+        param = builtin_parameterization(row.name, n, l)
+        for seed in range(5):
+            cert = certify_dimension(param, row.claimed, seed=seed)
+            parent = certify_all_trials(param, row.claimed, 1, seed).witness_point
+            assert all(type(x) is int for x in cert.witness_point), row.name
+            assert cert.witness_point == parent
+            assert [str(x) for x in cert.witness_point] == [str(x) for x in parent]
+
+
+def test_a_negative_seed_is_refused_before_any_sample(monkeypatch):
+    """`random` seeds from the absolute value of an int, so a negative seed
+    would repeat its positive twin's certificates."""
+    param = builtin_parameterization("gamma", 4)
+    assert certify_dimension(param, 22, seed=0).verdict == CERTIFIED
+    calls = _counted_samples(monkeypatch)
+    for seed in (-1, -5, -10**30):
+        with pytest.raises(PreconditionError, match=f"^a seed must be 0 or more, got {seed}$"):
+            certify_dimension(param, 22, seed=seed)
+        with pytest.raises(PreconditionError):
+            certify_builtin(4, names=["sat-cr"], seed=seed)
+    assert calls == []

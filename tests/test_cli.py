@@ -6,6 +6,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import comb
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +15,7 @@ from matsep import InputError, RMatrix, builtin_claims, parse_rational
 from matsep import cli
 from matsep.cli import (_COMMANDS, _parse_left, _parse_tuple, document_to_json,
                         load_document, main)
-from helpers import left_rows_by_fractions, matrices2_by_fractions, run_main
+from helpers import left_rows_by_fractions, matrices2_by_fractions, rand_sl, run_main
 
 
 def run_cli(argv):
@@ -188,6 +189,43 @@ def test_certify_empty_claim_names_are_unknown(claims, unknown):
     code, out, err = run_cli(["certify", "--n", "4", "--claims", claims])
     assert code == 3 and out == ""
     assert err == f"precondition violated: unknown claim names: {unknown}\n"
+
+
+def _reduced_pair_rows(row: int, col: int) -> tuple:
+    """Two 12 x 40 sides of rank 12 whose reduced forms [I | R] differ
+    only at entry (row, col), col >= 12, both moved by one determinant-one
+    g, as document rows."""
+    rng = Random(1240)
+    l, n = 12, 40
+    R = [[rng.randint(-9, 9) for _ in range(n - l)] for _ in range(l)]
+    first = [[int(r == c) for c in range(l)] + R[r] for r in range(l)]
+    second = [list(r) for r in first]
+    second[row][col] += 1
+    g = rand_sl(rng, l, shears=40)
+    return tuple([[str(x) for x in r] for r in (g @ RMatrix.from_rows(side)).to_rows()]
+                 for side in (first, second))
+
+
+@pytest.mark.parametrize("row,col,want", [(11, 12, 0), (0, 39, 3)])
+def test_separate_walks_a_wide_left_pair_to_its_limit(tmp_path, row, col, want):
+    """Two 12 x 40 sides of rank 12 with different row spaces: reduced
+    forms differing at entry (11, 12) differ at the second minor, and are
+    separated; differing only at (0, 39), they agree on the first
+    C(39, 11) minors, past the compared limit, and are refused."""
+    first, second = _reduced_pair_rows(row, col)
+    path = write(tmp_path, "pair.json", {"kind": "left-pair", "l": 12, "n": 40,
+                                         "first": first, "second": second})
+    code, out, err = run_cli(["separate", path])
+    assert code == want
+    if want == 0:
+        result = json.loads(out)["result"]
+        x, y = map(Fraction, result["values"])
+        assert (result["separated"], result["witness"]["indices"], y - x) == (
+            True, [*range(1, 12), 13], 1)
+    else:
+        assert out == "" and err == (
+            "precondition violated: a 12 x 40 left pair agrees on the first 20000 of its "
+            "5586853480 maximal minors per side, the limit of compared values\n")
 
 
 def test_exit_code_4_on_certification_failure(monkeypatch):

@@ -34,8 +34,10 @@ JSON integer and as a string; and the exit-2 message for "1/0", a
 full-width digit, "1.5" and `true`), so ranks,
 minors, witness points, directions and verdicts are pinned, not
 re-derived.  A 12 x 40 left orbit pair, recorded when left pairs were
-first decided from one elimination per side, is not separated, and its
-report comes back within 2 s.  An upper pair with two rational
+first decided from one elimination per side, is not separated, and a
+12 x 40 pair whose row spaces differ, recorded when the walk for a
+witness became bounded instead of refused, is separated at its 436th
+minor; both reports come back within 2 s.  An upper pair with two rational
 directions per side, and the same pair moved by an SL2 x SL2 element per
 side, were recorded once upper pairs took the union over their
 representatives like every other pair: their `classify` flags agree.
@@ -44,13 +46,14 @@ so the report echoes each document's bare file name.  A refusal's
 golden file is its one stderr line, with exit code 3 and no report (a
 certify Jacobian, an `invariants` report of more values than the limit,
 C(40, 12) minors or the 20,881 generators at n = 28, a `separate` of a
-12 x 40 left pair whose row spaces differ, so that its C(40, 12) minors
-per side would be walked for a witness, an `invariants` value
+12 x 40 left pair whose reduced forms differ only at entry (0, 39), so
+that its first C(39, 11) minors per side agree, past the 20,000 that
+the walk for a witness compares, an `invariants` value
 of about 4,400 digits, over the interpreter's int-to-str digit limit,
 or a `counts` generator count C(40000, 20000) or C(10**9, 5 * 10**8),
-past the 4,300 digits of a counts report, as JSON and as text, or a
-`certify` of 10**9 trials of sat-cr, a claim below its rank bound that
-would run every one of them);
+past the 4,300 digits of a counts report, as JSON and as text, a
+`certify` of 10**9 trials of sat-cr, over the trial cap, or a `certify`
+with seed -1, which `random` would seed as 1);
 an input error's is its one stderr line, with exit code 2 (among them a
 5,000-digit JSON integer, the same digits as a string entry and as the
 denominator of one, and a document nested 100,000 brackets deep).
@@ -164,9 +167,11 @@ INPUT_ERROR_CASES = [
 ]
 
 # Large documents that are decided at once: a 12 x 40 orbit pair, whose
-# C(40, 12) minors per side are compared through one elimination per side.
+# C(40, 12) minors per side are compared through one elimination per side,
+# and a 12 x 40 pair whose row spaces differ, first at its 436th minor.
 AT_ONCE_CASES = [
     ("separate_left_pair_orbit_l12_n40.txt", ["separate", "left_pair_orbit_l12_n40.json"]),
+    ("separate_left_pair_wide_l12_n40.txt", ["separate", "left_pair_wide_l12_n40.json"]),
 ]
 
 REFUSAL_CASES = [
@@ -174,7 +179,7 @@ REFUSAL_CASES = [
      ["certify", "--n", "100000", "--claims", "gamma", "--trials", "1"]),
     ("invariants_left_l12_n40_refusal.txt", ["invariants", "left_wide_l12_n40.json"]),
     ("invariants_lr_n28_refusal.txt", ["invariants", "lr_tuple_n28.json"]),
-    ("separate_left_pair_wide_l12_n40_refusal.txt", ["separate", "left_pair_wide_l12_n40.json"]),
+    ("separate_left_pair_late_l12_n40_refusal.txt", ["separate", "left_pair_late_l12_n40.json"]),
     ("invariants_lr_tuple_2200_digit_diagonal_n1_refusal.txt",
      ["invariants", "lr_tuple_2200_digit_diagonal_n1.json"]),
     ("counts_n40000_l20000_refusal.txt", ["counts", "--n", "40000", "--l", "20000"]),
@@ -184,6 +189,8 @@ REFUSAL_CASES = [
      ["counts", "--n", "1000000000", "--l", "500000000"]),
     ("certify_n4_sat-cr_trials1000000000_refusal.txt",
      ["certify", "--n", "4", "--claims", "sat-cr", "--trials", "1000000000"]),
+    ("certify_n4_gamma_seed-1_refusal.txt",
+     ["certify", "--n", "4", "--claims", "gamma", "--seed", "-1"]),
 ]
 
 

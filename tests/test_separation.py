@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from matsep import (GroupElementLR, LeftMatrix, MatrixTupleLR,
                     PreconditionError, RMatrix, SeparationReport, ShapeError,
-                    act_left, act_lr, generators_lr, minors_left,
+                    act_left, act_lr, generators_lr, minor_column_sets, minors_left,
                     separated_left, separated_lr, star)
-from matsep import invariants, matrix
+from matsep import invariants, matrix, separation
 from helpers import (bareiss_rank, inverse, minors_left_by_fractions, rand_fraction,
                      rand_group_left, rand_group_lr, rand_left, rand_left_nullcone,
                      rand_matrix, rand_sl, rand_sl2, rand_tuple, scaled,
@@ -289,31 +289,37 @@ def test_left_minors_and_separation_match_the_eager_oracles_on_drawn_pairs(
     _assert_left_pair_matches_oracles(*_left_pair(rng, l, l + extra, columns, kind))
 
 
-def test_left_separation_walks_the_minors_only_for_two_row_spaces_of_rank_l():
-    """`before_scan` runs exactly when both sides have rank l < n and
-    their stacked rank is above l, and it can refuse the walk."""
+def test_left_separation_walks_the_minors_only_for_two_row_spaces_of_rank_l(monkeypatch):
+    """With no minor to compare (MAX_COMPARED_MINORS = 0), `separated_left`
+    refuses exactly the pairs whose sides have rank l < n and whose
+    stacked rank is above l, the pairs it walks, and decides every other
+    pair as before.  A walked pair is decided while the limit reaches its
+    first differing minor and refused when it stops one short."""
     rng = Random(620)
     walked = Counter()
     for l in (2, 3, 4):
         for n in (l, l + 2):
             for kind in _LEFT_PAIR_KINDS:
                 A, B = _left_pair(rng, l, n, "generic", kind)
-                calls = []
-                rep = separated_left(A, B, lambda: calls.append(1))
+                monkeypatch.setattr(separation, "MAX_COMPARED_MINORS", 20_000)
+                rep = separated_left(A, B)
                 ranks = bareiss_rank(A.matrix), bareiss_rank(B.matrix)
                 scan = n > l and ranks == (l, l) and bareiss_rank(A.matrix.vstack(B.matrix)) > l
-                assert calls == ([1] if scan else [])
                 walked[scan] += 1
-                if scan:
-                    with pytest.raises(PreconditionError):
-                        separated_left(A, B, _refuse)
-                else:
-                    assert separated_left(A, B, _refuse) == rep
+                monkeypatch.setattr(separation, "MAX_COMPARED_MINORS", 0)
+                if not scan:
+                    assert separated_left(A, B) == rep
+                    continue
+                first = minor_column_sets(l, n).index(rep.witness[1])
+                for limit in (0, first):
+                    monkeypatch.setattr(separation, "MAX_COMPARED_MINORS", limit)
+                    with pytest.raises(PreconditionError, match=(
+                            f"^a {l} x {n} left pair agrees on the first {limit} of its "
+                            f"{comb(n, l)} maximal minors per side")):
+                        separated_left(A, B)
+                monkeypatch.setattr(separation, "MAX_COMPARED_MINORS", first + 1)
+                assert separated_left(A, B) == rep
     assert min(walked.values()) >= 5
-
-
-def _refuse():
-    raise PreconditionError("no walk")
 
 
 @pytest.fixture
